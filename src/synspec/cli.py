@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .errors import InvalidInputError, SynspecError
@@ -29,33 +28,7 @@ from .synthetic_spectrum import (
     hausdorff_distance,
     synthetic_spectrum,
 )
-from .verify import SUITES, run_suite
-
-
-def thread_cap() -> int | None:
-    """Worker cap from SYNSPEC_THREADS (None = library default)."""
-    raw = os.environ.get("SYNSPEC_THREADS")
-    if raw is None:
-        return None
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise InvalidInputError("SYNSPEC_THREADS must be an integer")
-    if cap < 1:
-        raise InvalidInputError("SYNSPEC_THREADS must be >= 1")
-    return cap
-
-
-def _apply_thread_cap():
-    cap = thread_cap()
-    if cap is None:
-        return
-    try:
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(limits=cap)
-    except ImportError:
-        pass  # BLAS pool stays at its default size
+from .verify import run_suite
 
 
 def _load_json(path: str) -> dict:
@@ -267,7 +240,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        _apply_thread_cap()
         return args.fn(args)
     except SynspecError as exc:
         print("%s: %s" % (exc.name, exc), file=sys.stderr)

@@ -7,7 +7,7 @@ deviation from self-adjointness exceeds 1e-12 relative to the entry scale
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -60,14 +60,14 @@ class BrickSet:
 
     def contains_points(self, points: np.ndarray, tol: float = 1e-12) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.zeros(pts.shape[0], dtype=bool)
-        for corner in self.corner_points():
-            inside = np.all(
-                (pts >= corner - tol) & (pts <= corner + 1.0 / self.k + tol),
-                axis=1,
-            )
-            out |= inside
-        return out
+        if self.is_empty:
+            return np.zeros(pts.shape[0], dtype=bool)
+        cand, valid = _touching_bricks(pts, self.k, tol * self.k)
+        shape = (2 * self.k,) * self.n
+        keys = np.ravel_multi_index(tuple((self.corners + self.k).T), shape)
+        flat = np.ravel_multi_index(tuple(np.moveaxis(cand + self.k, -1, 0)),
+                                    shape, mode="clip")
+        return (valid & np.isin(flat, keys)).any(axis=1)
 
     def to_json(self) -> dict:
         return {"n": self.n, "k": self.k, "corners": self.corner_points().tolist()}
@@ -98,26 +98,30 @@ def brick_cover(X: np.ndarray, k: int) -> BrickSet:
     if k < 1:
         raise InvalidInputError("k must be >= 1")
     n = pts.shape[1]
-    if np.abs(pts).max() > 1.0 + 1e-12:
+    if not np.isfinite(pts).all() or np.abs(pts).max() > 1.0 + 1e-12:
         raise InvalidInputError("points must lie in [-1, 1]^n")
-    corners = set()
-    for p in pts:
-        per_axis = []
-        for x in p:
-            t = x * k
-            r = round(t)
-            if abs(t - r) < 1e-9:
-                cand = {r - 1, r}
-            else:
-                cand = {int(np.floor(t))}
-            cand = {m for m in (int(m) for m in cand) if -k <= m <= k - 1}
-            per_axis.append(sorted(cand))
-        rec = [[]]
-        for cand in per_axis:
-            rec = [r + [m] for r in rec for m in cand]
-        for m in rec:
-            corners.add(tuple(m))
-    return BrickSet(n, k, np.asarray(sorted(corners), dtype=int))
+    cand, valid = _touching_bricks(pts, k, 1e-9)
+    return BrickSet(n, k, cand[valid])
+
+
+def _touching_bricks(pts: np.ndarray, k: int, slack: float):
+    """Corners of the 1/k-bricks whose closed box, grown by ``slack``/k, holds
+    each point.
+
+    Along an axis with t = x*k the touching bricks are m in
+    [ceil(t - slack) - 1, floor(t + slack)], clipped to [-k, k-1].  Returns
+    candidate corners, shape (points, w**n, n) with w the widest range, and
+    a mask of the candidates inside each point's ranges.
+    """
+    t = pts * k
+    lo = np.maximum(np.ceil(t - slack).astype(int) - 1, -k)
+    hi = np.minimum(np.floor(t + slack).astype(int), k - 1)
+    w = max(1, int((hi - lo).max()) + 1)
+    n = pts.shape[1]
+    offs = np.stack(np.meshgrid(*([np.arange(w)] * n), indexing="ij"),
+                    axis=-1).reshape(-1, n)
+    cand = lo[:, None, :] + offs[None]
+    return cand, (cand <= hi[:, None, :]).all(axis=2)
 
 
 @dataclass(frozen=True)

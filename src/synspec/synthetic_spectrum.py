@@ -24,7 +24,6 @@ from .errors import (
     UnsupportedDimensionError,
 )
 from .operator_core import (
-    HermitianMatrix,
     OperatorTuple,
     PiecewiseLinearFn,
     dedupe_points,
@@ -227,13 +226,13 @@ def _batched_product_norms(H: np.ndarray, K: np.ndarray,
 
 def synthetic_spectrum(T: OperatorTuple, eta: float, *,
                        order: tuple | None = None,
-                       prefilter: bool = True,
                        grid_cap: int = DEFAULT_GRID_CAP) -> BallUnion:
     """Centers of the grid where the ordered bump product has norm >= 1-eta.
 
     Borderline centers within 1e-9 of the threshold are included.  The
-    prefilter prunes grid prefixes whose partial product norm is already
-    below threshold; it never changes the result (disable to cross-check).
+    sweep prunes grid prefixes whose partial product norm is already below
+    threshold; pruning never changes the result, as
+    ``verify.matches_pointwise_oracle`` checks against ``big_theta_norm``.
     """
     if not 0 < eta < 1:
         raise InvalidInputError("eta must lie in (0, 1)")
@@ -255,10 +254,7 @@ def synthetic_spectrum(T: OperatorTuple, eta: float, *,
         centers = coords[sel][:, None]
         return BallUnion(1, eta, centers, spec)
 
-    if prefilter:
-        centers = _pruned_sweep(coords, eigs, W, thresh)
-    else:
-        centers = _brute_force_sweep(coords, eigs, W, thresh)
+    centers = _pruned_sweep(coords, eigs, W, thresh)
     if centers.size:
         inv = np.argsort(idx)
         centers = centers[:, inv]
@@ -311,29 +307,6 @@ def _pruned_sweep(coords, eigs, W, thresh) -> np.ndarray:
         return np.zeros((0, n))
     ci = np.asarray(centers)
     return coords[ci]
-
-
-def _brute_force_sweep(coords, eigs, W, thresh) -> np.ndarray:
-    import itertools
-
-    n = len(eigs)
-    nc = coords.size
-    factors = []
-    for (w, U), Wa in zip(eigs, W):
-        mats = np.empty((nc, U.shape[0], U.shape[0]), dtype=complex)
-        for c in range(nc):
-            mats[c] = (U * Wa[c]) @ U.conj().T
-        factors.append(mats)
-    centers = []
-    for ci in itertools.product(range(nc), repeat=n):
-        prod = factors[0][ci[0]]
-        for axis in range(1, n):
-            prod = prod @ factors[axis][ci[axis]]
-        if spectral_norm(prod) >= thresh:
-            centers.append(ci)
-    if not centers:
-        return np.zeros((0, n))
-    return coords[np.asarray(centers)]
 
 
 def hausdorff_distance(A: BallUnion, B: BallUnion, resolution: float) -> float:

@@ -2,13 +2,16 @@
 
 Each suite runs a fixed list of named properties deterministically from a
 seed and returns a JSON-ready report.  Failures carry a counterexample
-dump (the offending seed and parameters) so a run can be replayed.
+dump (the offending seed and parameters) so a run can be replayed.  The
+property checks the suites share with the tests (winding oracle, pointwise
+synthetic-spectrum oracle, witness sandwich, brick-cover facts) are public.
 """
 from __future__ import annotations
 
 import zlib
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .errors import GaplessCertificateError, InvalidInputError
 from .obstructions import (
@@ -35,8 +38,11 @@ from .symbol_models import (
     symbol_curve,
 )
 from .synthetic_spectrum import (
+    BORDERLINE_TOL,
     BallUnion,
+    big_theta_norm,
     containment_check,
+    grid_points,
     near_spectrum_witness,
     synthetic_spectrum,
 )
@@ -123,22 +129,34 @@ def _suite_containment(trials: int, seed: int) -> dict:
             bad.append({"trial": t, "dim": dim})
     rec.record("spectral_containment", not bad, {"failures": bad} if bad else None)
 
-    # prefilter soundness: pruned and brute-force sweeps agree
+    # pruning soundness: the pruned sweep finds exactly the oracle's centers
     bad = []
     for t in range(min(trials, 10)):
-        rng = _sub_rng(seed, "prefilter", t)
+        rng = _sub_rng(seed, "pruning", t)
         dim = int(rng.integers(2, 7))
-        T = random_almost_commuting(2, dim, 1e-2, _sub_seed(seed, "prefilter", t))
-        a = synthetic_spectrum(T, 0.25, prefilter=True)
-        b = synthetic_spectrum(T, 0.25, prefilter=False)
-        if a.centers.shape != b.centers.shape or not np.allclose(a.centers, b.centers):
+        T = random_almost_commuting(2, dim, 1e-2, _sub_seed(seed, "pruning", t))
+        if not matches_pointwise_oracle(T, 0.25, synthetic_spectrum(T, 0.25)):
             bad.append({"trial": t, "dim": dim})
-    rec.record("prefilter_soundness", not bad, {"failures": bad} if bad else None)
+    rec.record("pruning_soundness", not bad, {"failures": bad} if bad else None)
 
     return rec.report("containment", trials, seed)
 
 
-def _chebyshev_within(points: np.ndarray, X: np.ndarray, r: float) -> bool:
+def matches_pointwise_oracle(T: OperatorTuple, eta: float,
+                             region: BallUnion) -> bool:
+    """True iff ``region`` has exactly the centers the definition gives.
+
+    Evaluates ``big_theta_norm`` at every point of the region's grid, with
+    the sweep's threshold 1 - eta - 1e-9.  The oracle shares no eigenbases
+    or bump weights with the pruned sweep of ``synthetic_spectrum``.
+    """
+    thresh = (1.0 - eta) - BORDERLINE_TOL
+    pts = grid_points(region.grid)
+    want = pts[[big_theta_norm(T, x, eta) >= thresh for x in pts]]
+    return bool(np.array_equal(region.centers, want))
+
+
+def chebyshev_within(points: np.ndarray, X: np.ndarray, r: float) -> bool:
     """Every point within max-metric distance r of X.
 
     The 2*eta dilation of the sandwich is exact in the max metric (the
@@ -149,6 +167,29 @@ def _chebyshev_within(points: np.ndarray, X: np.ndarray, r: float) -> bool:
         return True
     d = np.abs(points[:, None, :] - X[None, :, :]).max(axis=2).min(axis=1)
     return bool((d <= r).all())
+
+
+def witness_sandwich(S: OperatorTuple, eta: float,
+                     rng: np.random.Generator) -> dict:
+    """Sandwich X in sSp^eta(T) in X dilated by 2 eta, for T near S.
+
+    T is the exactly commuting S plus Hermitian noise of norm 1e-4 drawn
+    from ``rng``, each coordinate scaled back into the unit ball; X is the
+    joint spectrum of S.  Returns whether the witness is valid and whether
+    the lower and upper containments hold.
+    """
+    ops = []
+    for op in S.ops:
+        a = op.entries + random_hermitian(S.dim, rng, norm=1e-4).entries
+        s = np.linalg.norm(a, 2)
+        ops.append(HermitianMatrix(a / s if s > 1.0 else a))
+    T = OperatorTuple(tuple(ops), norm_bound=1.0)
+    report = near_spectrum_witness(T, S, eta)
+    region = synthetic_spectrum(T, eta)
+    X = report.witness.points
+    return {"valid": report.valid,
+            "lower": containment_check(X, region, 0.0),
+            "upper": chebyshev_within(region.centers, X, eta + 1e-6)}
 
 
 def _suite_uniqueness(trials: int, seed: int) -> dict:
@@ -163,23 +204,9 @@ def _suite_uniqueness(trials: int, seed: int) -> dict:
         dim = int(rng.integers(2, 17))
         S = random_almost_commuting(n, dim, eta / 4, _sub_seed(seed, "sand", t),
                                     exact=True)
-        ops = []
-        for op in S.ops:
-            e = random_hermitian(dim, rng, norm=1e-4).entries
-            a = op.entries + e
-            s = np.linalg.norm(a, 2)
-            if s > 1.0:
-                a = a / s
-            ops.append(HermitianMatrix(a))
-        T = OperatorTuple(tuple(ops), norm_bound=1.0)
-        report = near_spectrum_witness(T, S, eta)
-        region = synthetic_spectrum(T, eta)
-        X = report.witness.points
-        lower = containment_check(X, region, 0.0)
-        upper = _chebyshev_within(region.centers, X, eta + 1e-6)
-        if not (report.valid and lower and upper):
-            bad.append({"trial": t, "n": n, "dim": dim,
-                        "valid": report.valid, "lower": lower, "upper": upper})
+        checks = witness_sandwich(S, eta, rng)
+        if not all(checks.values()):
+            bad.append({"trial": t, "n": n, "dim": dim, **checks})
     rec.record("witness_sandwich", not bad, {"failures": bad} if bad else None)
 
     # nonemptiness under small commutators
@@ -195,11 +222,30 @@ def _suite_uniqueness(trials: int, seed: int) -> dict:
     return rec.report("uniqueness", trials, seed)
 
 
-def _brick_sample_offsets(n: int, k: int) -> np.ndarray:
-    corners = np.stack(np.meshgrid(*([np.array([0.0, 1.0])] * n),
-                                   indexing="ij"), axis=-1).reshape(-1, n)
-    center = np.full((1, n), 0.5)
-    return np.vstack([corners, center]) / k
+def brick_cover_facts(X: np.ndarray, k: int, cover) -> dict | None:
+    """None if ``cover`` satisfies the brick-cover facts for X, else the
+    first failing fact.
+
+    (i) X is covered; (ii) every brick meets X (1e-9 slack); (iii) every
+    brick point is within sqrt(n)/k (+1e-9) of X, sampled on a 4-point
+    grid per axis plus the brick center.
+    """
+    n = X.shape[1]
+    if not cover.contains_points(X).all():
+        return {"fact": "i"}
+    lo = cover.corner_points()
+    meets = np.all((X[None] >= lo[:, None] - 1e-9)
+                   & (X[None] <= lo[:, None] + 1.0 / k + 1e-9), axis=2)
+    if not meets.any(axis=1).all():
+        return {"fact": "ii"}
+    axes = np.linspace(0.0, 1.0, 4)
+    offs = np.stack(np.meshgrid(*([axes] * n), indexing="ij"),
+                    axis=-1).reshape(-1, n)
+    offs = np.vstack([offs, np.full((1, n), 0.5)]) / k
+    d, _ = cKDTree(X).query((lo[:, None, :] + offs[None]).reshape(-1, n))
+    if d.max() > np.sqrt(n) / k + 1e-9:
+        return {"fact": "iii", "max_dist": float(d.max())}
+    return None
 
 
 def _suite_bricks(trials: int, seed: int) -> dict:
@@ -212,32 +258,9 @@ def _suite_bricks(trials: int, seed: int) -> dict:
         k = int(rng.choice([5, 10, 20]))
         npts = int(rng.integers(1, 51))
         X = rng.uniform(-1, 1, size=(npts, n))
-        cover = brick_cover(X, k)
-        # (i) X is covered
-        if not cover.contains_points(X).all():
-            bad.append({"trial": t, "fact": "i"})
-            continue
-        # (ii) every brick meets X
-        ok = True
-        for corner in cover.corner_points():
-            inside = np.all(
-                (X >= corner - 1e-9) & (X <= corner + 1.0 / k + 1e-9), axis=1
-            )
-            if not inside.any():
-                ok = False
-                break
-        if not ok:
-            bad.append({"trial": t, "fact": "ii"})
-            continue
-        # (iii) every point of the cover is within sqrt(n)/k of X
-        offsets = _brick_sample_offsets(n, k)
-        samples = (cover.corner_points()[:, None, :] + offsets[None, :, :])
-        samples = samples.reshape(-1, n)
-        from scipy.spatial import cKDTree
-
-        d, _ = cKDTree(X).query(samples)
-        if d.max() > np.sqrt(n) / k + 1e-9:
-            bad.append({"trial": t, "fact": "iii", "max_dist": float(d.max())})
+        failure = brick_cover_facts(X, k, brick_cover(X, k))
+        if failure:
+            bad.append({"trial": t, **failure})
     rec.record("brick_cover_facts", not bad, {"failures": bad} if bad else None)
 
     # canned topology cases
@@ -270,7 +293,9 @@ def _suite_bricks(trials: int, seed: int) -> dict:
     return rec.report("bricks", trials, seed)
 
 
-def _winding_oracle(op: SymbolOperator, lam: complex, samples: int = 10 ** 4) -> int:
+def winding_oracle(op: SymbolOperator, lam: complex,
+                   samples: int = 10 ** 4) -> int:
+    """Winding number of the symbol curve around lam from summed angle steps."""
     v = symbol_curve(op, samples) - lam
     steps = np.angle(np.roll(v, -1) / v)
     return int(round(float(steps.sum()) / (2 * np.pi)))
@@ -282,11 +307,11 @@ def _suite_winding(trials: int, seed: int) -> dict:
     zsq = SymbolOperator({2: 1.0})
 
     rep = fredholm_index(shift, 0.0)
-    ok = rep.index == -1 and rep.index == -_winding_oracle(shift, 0.0)
+    ok = rep.index == -1 and rep.index == -winding_oracle(shift, 0.0)
     rec.record("shift_index", ok, {"index": rep.index})
 
     rep = fredholm_index(zsq, 0.0)
-    ok = rep.index == -2 and rep.index == -_winding_oracle(zsq, 0.0)
+    ok = rep.index == -2 and rep.index == -winding_oracle(zsq, 0.0)
     rec.record("square_index", ok, {"index": rep.index})
 
     # index 0 in the unbounded component

@@ -6,6 +6,7 @@ import pytest
 from synspec import OperatorTuple, SymbolOperator, random_almost_commuting
 from synspec.cli import main
 from synspec.io_json import dump_canonical
+from synspec.verify import run_suite
 
 
 @pytest.fixture()
@@ -150,15 +151,9 @@ class TestVerify:
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
 
-
-class TestThreadCap:
-    def test_invalid_thread_cap(self, monkeypatch, shift_json):
-        monkeypatch.setenv("SYNSPEC_THREADS", "zero")
-        assert main(["index-check", "--symbol", shift_json, "--eta", "0.1"]) == 2
-
-    def test_valid_thread_cap(self, monkeypatch, shift_json):
-        monkeypatch.setenv("SYNSPEC_THREADS", "1")
-        assert main(["index-check", "--symbol", shift_json, "--eta", "0.1"]) == 1
+    @pytest.mark.parametrize("suite", ["containment", "uniqueness"])
+    def test_suite_passes(self, suite):
+        assert run_suite(suite, trials=2, seed=0)["all_passed"]
 
 
 def test_unknown_command_exit_2():

@@ -11,7 +11,6 @@ from synspec import (
     bott_index,
     certificate_matrix,
     certified_distance_bound,
-    commutator_norm,
     index_hypothesis_check,
     joint_diagonalize,
     op_norm,

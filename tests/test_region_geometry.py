@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from scipy.spatial import cKDTree
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from synspec import (
     BallUnion,
@@ -13,6 +14,19 @@ from synspec import (
     dilate,
     region_topology,
 )
+from synspec.verify import brick_cover_facts
+
+
+@st.composite
+def clouds(draw):
+    """Points in [-1, 1]^n, n <= 3, mixing uniform draws with lattice points
+    j/k (faces, corners and the box boundary +-1)."""
+    n = draw(st.integers(1, 3))
+    k = draw(st.sampled_from([1, 2, 5, 10, 20]))
+    coord = st.one_of(st.floats(-1.0, 1.0), st.integers(-k, k).map(lambda j: j / k))
+    rows = draw(st.lists(st.lists(coord, min_size=n, max_size=n),
+                         min_size=1, max_size=20))
+    return np.array(rows), k
 
 
 class TestBrickCover:
@@ -36,25 +50,20 @@ class TestBrickCover:
             n = 1 + trial % 3
             k = [5, 10, 20][trial % 3]
             X = rng.uniform(-1, 1, size=(30, n))
-            cover = brick_cover(X, k)
-            assert cover.contains_points(X).all()
-            for corner in cover.corner_points():
-                inside = np.all((X >= corner - 1e-9)
-                                & (X <= corner + 1.0 / k + 1e-9), axis=1)
-                assert inside.any()
+            assert brick_cover_facts(X, k, brick_cover(X, k)) is None
 
     def test_cover_distance_bound(self):
         rng = np.random.default_rng(8)
         for n, k in [(1, 5), (2, 10), (3, 20)]:
             X = rng.uniform(-1, 1, size=(50, n))
-            cover = brick_cover(X, k)
-            # sample corners and centers of every brick
-            offs = np.stack(np.meshgrid(*([np.array([0.0, 1.0])] * n),
-                                        indexing="ij"), axis=-1).reshape(-1, n)
-            offs = np.vstack([offs, np.full((1, n), 0.5)]) / k
-            samples = (cover.corner_points()[:, None, :] + offs[None]).reshape(-1, n)
-            d, _ = cKDTree(X).query(samples)
-            assert d.max() <= np.sqrt(n) / k + 1e-9
+            assert brick_cover_facts(X, k, brick_cover(X, k)) is None
+
+    @settings(deadline=None, derandomize=True)
+    @given(clouds())
+    def test_facts_on_faces(self, cloud):
+        X, k = cloud
+        # fact (i) is contains_points(X).all()
+        assert brick_cover_facts(X, k, brick_cover(X, k)) is None
 
     def test_empty_input(self):
         with pytest.raises(EmptyInputError):

@@ -15,12 +15,7 @@ from synspec import (
     symbol_curve,
     truncate,
 )
-
-
-def winding_oracle(op, lam, samples=10 ** 4):
-    v = symbol_curve(op, samples) - lam
-    steps = np.angle(np.roll(v, -1) / v)
-    return int(round(float(steps.sum()) / (2 * np.pi)))
+from synspec.verify import winding_oracle
 
 
 class TestSymbolOperator:

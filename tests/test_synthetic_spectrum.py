@@ -20,6 +20,7 @@ from synspec import (
     random_hermitian,
     synthetic_spectrum,
 )
+from synspec.verify import matches_pointwise_oracle
 
 
 def herm(a):
@@ -131,15 +132,20 @@ class TestSyntheticSpectrum:
             np.all(np.abs(region.centers - np.array([0.0, 1.0])) < 0.05, axis=1)
         )
 
-    def test_matches_brute_force_on_pair(self):
-        T = random_almost_commuting(2, 4, 1e-2, 21)
-        region = synthetic_spectrum(T, 0.2)
-        spec = region.grid
-        pts = grid_points(spec)
-        want = [tuple(x) for x in pts
-                if big_theta_norm(T, x, 0.2) >= 0.8 - 1e-9]
-        got = [tuple(c) for c in region.centers]
-        assert got == sorted(want)
+    # n = 3 tuples scaled to M = 0.3 keep the grid at 19^3 points and
+    # exercise the middle level of the pruned sweep
+    @pytest.mark.parametrize("n, dim, M, eta, seed", [
+        pytest.param(2, 4, 1.0, 0.2, 21, id="n2-dim4-seed21"),
+        *(pytest.param(2, 5, 1.0, 0.25, s, id="n2-dim5-seed%d" % s)
+          for s in range(8)),
+        *(pytest.param(3, 4, 0.3, 0.2, s, id="n3-dim4-seed%d" % s)
+          for s in range(3)),
+    ])
+    def test_matches_pointwise_oracle(self, n, dim, M, eta, seed):
+        T = random_almost_commuting(n, dim, 1e-2, seed)
+        T = OperatorTuple(tuple(HermitianMatrix(op.entries * M) for op in T.ops),
+                          norm_bound=M)
+        assert matches_pointwise_oracle(T, eta, synthetic_spectrum(T, eta))
 
     def test_single_operator_window(self):
         a = herm(np.diag([-1.0, 0.0, 1.0]))
@@ -156,14 +162,6 @@ class TestSyntheticSpectrum:
             region = synthetic_spectrum(OperatorTuple((z,) * n), 0.2)
             assert self.contains(region, np.zeros(n))
             assert np.abs(region.centers).max() <= 0.16 + 1e-9
-
-    def test_prefilter_equivalence(self):
-        for seed in range(8):
-            T = random_almost_commuting(2, 5, 1e-2, seed)
-            a = synthetic_spectrum(T, 0.25, prefilter=True)
-            b = synthetic_spectrum(T, 0.25, prefilter=False)
-            assert a.centers.shape == b.centers.shape
-            assert np.allclose(a.centers, b.centers)
 
     def test_order_recorded_columns(self):
         T = random_almost_commuting(2, 5, 1e-3, 3)
