@@ -8,6 +8,7 @@ deviation from self-adjointness exceeds 1e-12 relative to the entry scale
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -45,6 +46,11 @@ class HermitianMatrix:
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
+
+    @cached_property
+    def eigh(self) -> tuple:
+        """Read-only (eigenvalues, eigenvectors), computed on first use."""
+        return tuple(_as_readonly(a) for a in np.linalg.eigh(self.entries))
 
     def to_json(self) -> dict:
         return {
@@ -200,7 +206,7 @@ def pairwise_commutator_norms(T: OperatorTuple) -> np.ndarray:
 
 def func_calc(A: HermitianMatrix, f: PiecewiseLinearFn) -> HermitianMatrix:
     """Spectral functional calculus: U f(L) U* for A = U L U*."""
-    w, U = np.linalg.eigh(A.entries)
+    w, U = A.eigh
     fw = f(w)
     out = (U * fw) @ U.conj().T
     return HermitianMatrix((out + out.conj().T) / 2)

@@ -20,7 +20,7 @@ from .errors import (
     InvalidInputError,
     UnsupportedDimensionError,
 )
-from .synthetic_spectrum import BallUnion
+from .synthetic_spectrum import BallUnion, raster_axes
 
 
 @dataclass(frozen=True)
@@ -175,12 +175,12 @@ def region_topology(R, resolution: float) -> RegionTopology:
         raise InvalidInputError("expected a BallUnion or BrickSet")
     if n != 2:
         raise UnsupportedDimensionError("topology is implemented for n = 2 only")
-    if resolution <= 0 or resolution > r / 10 + 1e-12:
+    if not 0 < resolution <= r / 10 + 1e-12:
         raise InvalidInputError("resolution must lie in (0, r/10]")
 
     lo, hi = -1.0 - 2 * r, 1.0 + 2 * r
-    axis = np.arange(lo, hi + resolution / 2, resolution)
-    xs, ys = np.meshgrid(axis, axis, indexing="ij")
+    axes = raster_axes((lo, lo), (hi + resolution / 2,) * 2, resolution)
+    xs, ys = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([xs.ravel(), ys.ravel()], axis=1)
     if isinstance(R, BallUnion):
         d, _ = cKDTree(R.centers).query(pts)
@@ -208,7 +208,7 @@ def region_topology(R, resolution: float) -> RegionTopology:
         cand = idx[depth >= dmax - 1e-12]
         centroid = idx.mean(axis=0)
         best = cand[np.argmin(np.linalg.norm(cand - centroid, axis=1))]
-        rep = np.array([axis[best[0]], axis[best[1]]])
+        rep = np.array([axes[0][best[0]], axes[1][best[1]]])
         # sub-resolution pockets at tangency cusps are raster artifacts,
         # not holes; a genuine hole keeps its deepest cell clear of R
         if isinstance(R, BallUnion):

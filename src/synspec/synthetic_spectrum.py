@@ -5,10 +5,15 @@ lattice points where the fixed-order product of bump functions applied to
 the tuple has norm >= 1-eta.  Evaluation works in the per-operator
 eigenbases, which keeps each bump factor low-rank and lets the grid sweep
 prune whole prefixes whose partial product already falls below threshold
-(sound: appending a contraction cannot increase the norm).
+(sound: appending a contraction cannot increase the norm).  The sweep goes
+one axis at a time: it stacks every surviving prefix as zero-padded factors,
+drops most (prefix, candidate) pairs by a Frobenius bound and scores the
+rest with one batched ``eigvalsh``.  Prefixes and pairs go through in chunks
+of ``_BATCH`` pairs, so memory beyond the stored prefixes stays bounded.
 """
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -35,6 +40,10 @@ from .operator_core import (
 
 DEFAULT_GRID_CAP = 2 ** 24
 BORDERLINE_TOL = 1e-9
+# (prefix, candidate) pairs the sweep bounds or eigensolves at once
+_BATCH = 2048
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -93,12 +102,21 @@ def _lattice_denominator(n: int, M: float, eta: float) -> int:
     return k
 
 
+def _check_cap(n, cap: int = DEFAULT_GRID_CAP) -> None:
+    if n > cap:
+        raise ResourceLimitError("grid has %.0f points, above the cap %d" % (n, cap))
+
+
+def raster_axes(lo, hi, step: float) -> list:
+    """``np.arange(lo[i], hi[i], step)`` per axis, refused above the grid cap."""
+    with np.errstate(over="ignore"):
+        _check_cap(np.prod(np.ceil((np.asarray(hi) - lo) / step)))
+    return [np.arange(a, b, step) for a, b in zip(lo, hi)]
+
+
 def grid_points(spec: GridSpec, cap: int = DEFAULT_GRID_CAP) -> np.ndarray:
     """All lattice points of the spec, in lexicographic order."""
-    if spec.point_count > cap:
-        raise ResourceLimitError(
-            "grid has %d points, above the cap %d" % (spec.point_count, cap)
-        )
+    _check_cap(spec.point_count, cap)
     c = spec.axis_coords()
     grids = np.meshgrid(*([c] * spec.n), indexing="ij")
     return np.stack(grids, axis=-1).reshape(-1, spec.n)
@@ -198,32 +216,6 @@ def big_theta_norm(T: OperatorTuple, xi, eta: float,
     return spectral_norm(prod)
 
 
-def _batched_product_norms(H: np.ndarray, K: np.ndarray,
-                           weights: np.ndarray) -> np.ndarray:
-    """Norms ||A theta(c)|| for a batch of bump factors.
-
-    H = A* A (r x r), K = B* U (r x dim) for the running product P = A B*
-    with B orthonormal; weights holds theta values per candidate (rows) and
-    eigenvalue (cols).  Restricting to each bump's support gives
-    ||A B* theta||^2 = max eig of diag(w) Ks* H Ks diag(w), a small
-    Hermitian problem per candidate (support size = a few eigenvalues).
-    """
-    supp = weights > 0
-    m = int(supp.sum(axis=1).max())
-    if m == 0:
-        return np.zeros(weights.shape[0])
-    # stable argsort moves each row's support indices to the front
-    order = np.argsort(~supp, axis=1, kind="stable")[:, :m]
-    wp = np.take_along_axis(weights, order, axis=1)
-    Kc = K[:, order].transpose(1, 0, 2)  # (candidates, r, m)
-    tmp = np.einsum("rs,csm->crm", H, Kc, optimize=True)
-    M = np.einsum("cri,crj->cij", Kc.conj(), tmp, optimize=True)
-    M *= wp[:, :, None] * wp[:, None, :]
-    M = (M + M.conj().transpose(0, 2, 1)) / 2
-    ev = np.linalg.eigvalsh(M)[..., -1]
-    return np.sqrt(np.clip(ev, 0.0, None))
-
-
 def synthetic_spectrum(T: OperatorTuple, eta: float, *,
                        order: tuple | None = None,
                        grid_cap: int = DEFAULT_GRID_CAP) -> BallUnion:
@@ -237,76 +229,79 @@ def synthetic_spectrum(T: OperatorTuple, eta: float, *,
     if not 0 < eta < 1:
         raise InvalidInputError("eta must lie in (0, 1)")
     spec = GridSpec.create(T.n, T.norm_bound, eta)
-    if spec.point_count > grid_cap:
-        raise ResourceLimitError(
-            "grid has %d points, above the cap %d" % (spec.point_count, grid_cap)
-        )
+    _check_cap(spec.point_count, grid_cap)
     coords = spec.axis_coords()
     idx = tuple(order) if order is not None else tuple(range(T.n))
     if sorted(idx) != list(range(T.n)):
         raise InvalidInputError("order must be a permutation of the axes")
     eigs = [np.linalg.eigh(T.ops[i].entries) for i in idx]
     W = [bump_weights(coords, w, eta) for w, _ in eigs]
-    thresh = (1.0 - eta) - BORDERLINE_TOL
-
-    if T.n == 1:
-        sel = np.nonzero(W[0].max(axis=1) >= thresh)[0]
-        centers = coords[sel][:, None]
-        return BallUnion(1, eta, centers, spec)
-
-    centers = _pruned_sweep(coords, eigs, W, thresh)
-    if centers.size:
-        inv = np.argsort(idx)
-        centers = centers[:, inv]
+    centers = _pruned_sweep(coords, eigs, W, (1.0 - eta) - BORDERLINE_TOL)
+    if order is not None:
+        centers = centers[:, np.argsort(idx)]
     return BallUnion(T.n, eta, centers, spec)
+
+
+def _supports(w: np.ndarray, U: np.ndarray):
+    """Front-packed, zero-padded bump supports: weights, indices, columns."""
+    supp = w > 0
+    m = int(supp.sum(axis=1).max())
+    # stable argsort moves each row's support indices to the front
+    order = np.argsort(~supp, axis=1, kind="stable")[:, :m]
+    ws = np.take_along_axis(w, order, axis=1)
+    return ws, order, U[:, order].transpose(1, 0, 2) * (ws > 0)[:, None, :]
 
 
 def _pruned_sweep(coords, eigs, W, thresh) -> np.ndarray:
     n = len(eigs)
     pass_idx = [np.nonzero(Wa.max(axis=1) >= thresh)[0] for Wa in W]
+    if n == 1:
+        return coords[pass_idx[0]][:, None]
     if any(p.size == 0 for p in pass_idx):
         return np.zeros((0, n))
-    # prefixes: (coord index tuple, A, B) with running product P = A B*,
-    # B orthonormal, so that ||P|| = ||A||
-    _, U0 = eigs[0]
-    prefixes = []
-    for c in pass_idx[0]:
-        w = W[0][c]
-        s = np.nonzero(w > 0)[0]
-        prefixes.append(((c,), U0[:, s] * w[s], U0[:, s]))
-    centers = []
+    # prefix i has coordinate indices cs[i] and running product A_i B_i*;
+    # B_i = Us[last[i]] has orthonormal or zero columns, so ||A_i B_i*|| = ||A_i||
+    ws, _, Us = _supports(W[0][pass_idx[0]], eigs[0][1])
+    A, cs, last = Us * ws[:, None, :], pass_idx[0][:, None], np.arange(len(Us))
     for axis in range(1, n):
-        _, U = eigs[axis]
-        Wa = W[axis]
-        cand = pass_idx[axis]
-        wc = Wa[cand]
-        wc2 = wc ** 2
-        last = axis == n - 1
-        nxt = []
-        for cs, A, B in prefixes:
-            K = B.conj().T @ U
-            H = A.conj().T @ A
-            # cheap necessary condition ||A K diag(w)|| <= ||A||_F ||K diag(w)||_F
-            q2 = np.abs(K) ** 2
-            ub2 = float(np.trace(H).real) * (wc2 @ q2.sum(axis=0))
-            keep = ub2 >= thresh ** 2
-            if not keep.any():
-                continue
-            norms = _batched_product_norms(H, K, wc[keep])
-            sel = cand[keep][norms >= thresh]
-            if last:
-                for c in sel:
-                    centers.append(cs + (c,))
-            else:
-                for c in sel:
-                    w = Wa[c]
-                    s = np.nonzero(w > 0)[0]
-                    nxt.append((cs + (c,), A @ (K[:, s] * w[s]), U[:, s]))
-        prefixes = nxt
-    if not centers:
-        return np.zeros((0, n))
-    ci = np.asarray(centers)
-    return coords[ci]
+        U, cand = eigs[axis][1], pass_idx[axis]
+        wc = W[axis][cand]
+        # Kh[j] = U* B_j = K_j*, shared by the prefixes that end in candidate j
+        Kh = U.conj().T @ Us
+        # cheap necessary condition ||A K diag(w)|| <= ||A||_F ||K diag(w)||_F
+        F = (np.abs(Kh) ** 2).sum(axis=2) @ (wc ** 2).T
+        ws, order, Us = _supports(wc, U)
+        step = max(1, _BATCH // cand.size)
+        kept, nxt, solved = [np.zeros((2, 0), dtype=int)], [], 0
+        for lo in range(0, len(A), step):
+            a, b = A[lo:lo + step], last[lo:lo + step]
+            H = a.conj().transpose(0, 2, 1) @ a
+            ub2 = np.trace(H, axis1=1, axis2=2).real[:, None] * F[b]
+            pi, ci = np.nonzero(ub2 >= thresh ** 2)
+            solved += pi.size
+            HKt = (Kh[b] @ H).conj()  # (H K)^T, as H is Hermitian
+            for plo in range(0, pi.size, _BATCH):
+                p, c = pi[plo:plo + _BATCH], ci[plo:plo + _BATCH]
+                # ||A K_s diag(w)||^2 = top eigenvalue of diag(w) K_s* H K_s diag(w),
+                # s the candidate's support; eigvalsh reads only the lower triangle
+                w = ws[c][:, :, None]
+                Khw = Kh[b[p][:, None], order[c]] * w
+                M = Khw @ (HKt[p[:, None], order[c]] * w).transpose(0, 2, 1)
+                ev = np.linalg.eigvalsh(M)[:, -1]
+                sel = np.sqrt(np.clip(ev, 0.0, None)) >= thresh
+                kept.append(np.stack([lo + p[sel], c[sel]]))
+                if axis < n - 1:
+                    nxt.append(a[p[sel]] @ Khw[sel].conj().transpose(0, 2, 1))
+        p, c = np.concatenate(kept, axis=1)
+        log.debug("sweep axis %d: prefixes=%d bounded_out=%d eigensolved=%d "
+                  "survivors=%d", axis, len(A), len(A) * cand.size - solved,
+                  solved, p.size)
+        if p.size == 0:
+            return np.zeros((0, n))
+        cs = np.hstack([cs[p], cand[c][:, None]])
+        if axis < n - 1:
+            A, last = np.concatenate(nxt), c
+    return coords[cs]
 
 
 def hausdorff_distance(A: BallUnion, B: BallUnion, resolution: float) -> float:
@@ -318,15 +313,14 @@ def hausdorff_distance(A: BallUnion, B: BallUnion, resolution: float) -> float:
     """
     if A.n != B.n:
         raise InvalidInputError("ambient dimensions differ")
-    if resolution <= 0:
-        raise InvalidInputError("resolution must be positive")
+    if not 0 < resolution < np.inf:
+        raise InvalidInputError("resolution must be positive and finite")
     if A.is_empty or B.is_empty:
         raise EmptyRegionError("Hausdorff distance to an empty region")
     n = A.n
     lo = np.minimum(A.centers.min(axis=0) - A.eta, B.centers.min(axis=0) - B.eta)
     hi = np.maximum(A.centers.max(axis=0) + A.eta, B.centers.max(axis=0) + B.eta)
-    axes = [np.arange(lo[i] - resolution, hi[i] + 2 * resolution, resolution)
-            for i in range(n)]
+    axes = raster_axes(lo - resolution, hi + 2 * resolution, resolution)
     grids = np.meshgrid(*axes, indexing="ij")
     pts = np.stack(grids, axis=-1).reshape(-1, n)
     shape = grids[0].shape

@@ -102,6 +102,18 @@ class TestGeometryCommands:
         assert code == 0
         assert "holes=1" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["hausdorff", "holes"])
+    def test_tiny_resolution_exit_3(self, tmp_path, capsys, command):
+        from synspec import BallUnion
+
+        a = tmp_path / "a.json"
+        dump_canonical(BallUnion(2, 0.1, np.array([[0.0, 0.0]])).to_json(),
+                       str(a))
+        inputs = {"hausdorff": ["--a", str(a), "--b", str(a)],
+                  "holes": ["--input", str(a)]}[command]
+        assert main([command, *inputs, "--resolution", "1e-7"]) == 3
+        assert "resource-limit" in capsys.readouterr().err
+
 
 class TestIndexCheck:
     def test_shift_fails_exit_1(self, shift_json, capsys):

@@ -118,6 +118,21 @@ class TestCommutator:
 
 
 class TestFuncCalc:
+    def test_eigendecomposition_cached(self, monkeypatch):
+        a = random_hermitian(5, np.random.default_rng(7))
+        w, U = np.linalg.eigh(a.entries)
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda x: calls.append(x) or eigh(x))
+        f = PiecewiseLinearFn.bump(0.1, 0.3)
+        first, second = func_calc(a, f), func_calc(a, f)
+        assert len(calls) == 1
+        assert np.array_equal(first.entries, second.entries)
+        assert np.array_equal(a.eigh[0], w) and np.array_equal(a.eigh[1], U)
+        with pytest.raises(ValueError):
+            a.eigh[1][0, 0] = 0.0
+
     def test_identity_function(self):
         rng = np.random.default_rng(3)
         a = random_hermitian(6, rng)

@@ -9,6 +9,7 @@ from synspec import (
     EmptyInputError,
     EmptyRegionError,
     InvalidInputError,
+    ResourceLimitError,
     UnsupportedDimensionError,
     brick_cover,
     dilate,
@@ -159,6 +160,20 @@ class TestRegionTopology:
         b = BallUnion(2, 0.1, np.array([[0.0, 0.0]]))
         with pytest.raises(InvalidInputError):
             region_topology(b, 0.05)
+
+    @pytest.mark.parametrize("resolution", [0.0, np.nan])
+    def test_rejects_zero_or_nan_resolution(self, resolution):
+        b = BallUnion(2, 0.1, np.array([[0.0, 0.0]]))
+        with pytest.raises(InvalidInputError):
+            region_topology(b, resolution)
+
+    @pytest.mark.parametrize("region", [
+        BallUnion(2, 0.1, np.array([[0.0, 0.0]])),
+        BrickSet(2, 5, np.array([[0, 0]])),
+    ])
+    def test_raster_cap(self, region):
+        with pytest.raises(ResourceLimitError):
+            region_topology(region, 1e-6)
 
     def test_empty_region(self):
         b = BallUnion(2, 0.1, np.zeros((0, 2)))

@@ -1,5 +1,10 @@
+import importlib
+import logging
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from synspec import (
     BallUnion,
@@ -22,9 +27,45 @@ from synspec import (
 )
 from synspec.verify import matches_pointwise_oracle
 
+# the package's ``synthetic_spectrum`` attribute is the function
+sweep_module = importlib.import_module("synspec.synthetic_spectrum")
+
 
 def herm(a):
     return HermitianMatrix(np.asarray(a, dtype=complex))
+
+
+def scaled(T, M):
+    return OperatorTuple(tuple(HermitianMatrix(op.entries * M) for op in T.ops),
+                         norm_bound=M)
+
+
+@st.composite
+def tiny_tuples(draw):
+    """Almost-commuting or random Hermitian tuples, n in {2, 3} and dim 2-5,
+    scaled so that the grid has at most 2197 points."""
+    n = draw(st.sampled_from([2, 3]))
+    dim = draw(st.integers(2, 5))
+    seed = draw(st.integers(0, 2 ** 20))
+    delta = draw(st.sampled_from([1e-3, 1e-2, 1e-1, None]))
+    if delta is None:
+        rng = np.random.default_rng(seed)
+        T = OperatorTuple(tuple(random_hermitian(dim, rng) for _ in range(n)))
+    else:
+        T = random_almost_commuting(n, dim, delta, seed)
+    if n == 2:
+        return scaled(T, draw(st.sampled_from([0.3, 0.5]))), draw(
+            st.sampled_from([0.2, 0.3]))
+    return scaled(T, draw(st.sampled_from([0.2, 0.3]))), 0.3
+
+
+# 0.3 (sigma_z, sigma_x, sigma_z): at eta = 0.28 each bump sees one eigenvalue,
+# so every sigma_z bump times a sigma_x bump has norm <= 1/sqrt(2) < 1 - eta
+# and the middle level keeps no prefix
+PAULI_ZXZ = OperatorTuple(tuple(
+    HermitianMatrix(0.3 * np.asarray(a, dtype=complex))
+    for a in ([[1, 0], [0, -1]], [[0, 1], [1, 0]], [[1, 0], [0, -1]])
+), norm_bound=0.3)
 
 
 class TestGridSpec:
@@ -147,6 +188,41 @@ class TestSyntheticSpectrum:
                           norm_bound=M)
         assert matches_pointwise_oracle(T, eta, synthetic_spectrum(T, eta))
 
+    @settings(deadline=None, derandomize=True, max_examples=40)
+    @given(tiny_tuples())
+    def test_matches_pointwise_oracle_on_tiny_grids(self, case):
+        T, eta = case
+        assert matches_pointwise_oracle(T, eta, synthetic_spectrum(T, eta))
+
+    @pytest.mark.parametrize("n, dim, M, eta, seed", [
+        (2, 6, 1.0, 0.2, 4), (3, 4, 0.3, 0.2, 0), (3, 5, 0.5, 0.3, 1)])
+    def test_chunking_keeps_centers(self, monkeypatch, n, dim, M, eta, seed):
+        T = scaled(random_almost_commuting(n, dim, 1e-2, seed), M)
+        want = synthetic_spectrum(T, eta).centers
+        assert want.shape[0] > 0
+        monkeypatch.setattr(sweep_module, "_BATCH", 3)
+        assert np.array_equal(synthetic_spectrum(T, eta).centers, want)
+
+    def test_empty_middle_level(self, caplog):
+        caplog.set_level(logging.DEBUG, logger=sweep_module.__name__)
+        region = synthetic_spectrum(PAULI_ZXZ, 0.28)
+        assert region.is_empty
+        assert matches_pointwise_oracle(PAULI_ZXZ, 0.28, region)
+        assert caplog.messages == ["sweep axis 1: prefixes=10 bounded_out=100 "
+                                   "eigensolved=0 survivors=0"]
+
+    def test_level_counts_logged(self, caplog):
+        # the counts of the per-prefix loop this sweep replaced
+        caplog.set_level(logging.DEBUG, logger=sweep_module.__name__)
+        T = scaled(random_almost_commuting(3, 4, 1e-2, 0), 0.3)
+        assert synthetic_spectrum(T, 0.2).centers.shape[0] == 2361
+        assert caplog.messages == [
+            "sweep axis 1: prefixes=18 bounded_out=46 eigensolved=296 "
+            "survivors=268",
+            "sweep axis 2: prefixes=268 bounded_out=1009 eigensolved=4083 "
+            "survivors=2361",
+        ]
+
     def test_single_operator_window(self):
         a = herm(np.diag([-1.0, 0.0, 1.0]))
         region = synthetic_spectrum(OperatorTuple((a,)), 0.2)
@@ -212,6 +288,18 @@ class TestHausdorff:
         b = BallUnion(2, 0.1, np.array([[0.0, 0.0]]))
         with pytest.raises(EmptyRegionError):
             hausdorff_distance(a, b, 0.01)
+
+    @pytest.mark.parametrize("resolution", [1e-6, 1e-300, 5e-324])
+    def test_raster_cap(self, resolution):
+        a = BallUnion(2, 0.1, np.array([[0.0, 0.0]]))
+        with pytest.raises(ResourceLimitError):
+            hausdorff_distance(a, a, resolution)
+
+    @pytest.mark.parametrize("resolution", [0.0, np.nan, np.inf])
+    def test_bad_resolution(self, resolution):
+        a = BallUnion(2, 0.1, np.array([[0.0, 0.0]]))
+        with pytest.raises(InvalidInputError):
+            hausdorff_distance(a, a, resolution)
 
 
 class TestWitness:
