@@ -32,8 +32,8 @@ print("caveat: %s" % bound.caveat)
 
 print("\nrunning Jacobi joint diagonalization on the j=20 triple ...")
 approx = joint_diagonalize(T)
-print("sweeps: %d, residual off-norm objective: %.2e"
-      % (approx.sweeps, approx.objective_trace[-1]))
+print("sweeps: %d (%s), residual off-norm objective: %.2e"
+      % (approx.sweeps, approx.stop_reason, approx.objective_trace[-1]))
 print("distance to the commuting output: %.4f  (certified floor %.4f)"
       % (approx.max_distance, bound.bound))
 assert approx.max_distance >= bound.bound

@@ -144,8 +144,9 @@ def _cmd_approx(args) -> int:
     T = OperatorTuple.from_json(_load_json(args.input))
     report = joint_diagonalize(T, tol=args.tol, max_sweeps=args.max_sweeps)
     _write(report.to_json(), args.out)
-    print("approx: sweeps=%d max_distance=%.6g residual=%.3g"
-          % (report.sweeps, report.max_distance, report.off_diag_residual))
+    print("approx: sweeps=%d stop=%s max_distance=%.6g residual=%.3g"
+          % (report.sweeps, report.stop_reason, report.max_distance,
+             report.off_diag_residual))
     return 0
 
 

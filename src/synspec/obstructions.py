@@ -30,7 +30,12 @@ from .operator_core import (
 )
 from .region_geometry import region_topology
 from .symbol_models import SymbolOperator, fredholm_index
-from .synthetic_spectrum import BallUnion, GridSpec, bump_weights
+from .synthetic_spectrum import (
+    BORDERLINE_TOL,
+    BallUnion,
+    GridSpec,
+    bump_weights,
+)
 
 CERTIFICATE_GAP_FLOOR = 1e-8
 
@@ -139,6 +144,7 @@ class ApproximantReport:
     sweeps: int
     off_diag_residual: float
     objective_trace: tuple = ()
+    stop_reason: str = "converged"
 
     def to_json(self) -> dict:
         return {
@@ -148,6 +154,7 @@ class ApproximantReport:
             "sweeps": self.sweeps,
             "off_diag_residual": float(self.off_diag_residual),
             "objective_trace": [float(x) for x in self.objective_trace],
+            "stop_reason": self.stop_reason,
         }
 
 
@@ -164,29 +171,28 @@ def joint_diagonalize(T: OperatorTuple, tol: float = 1e-12,
 
     Cyclic sweeps over index pairs; each rotation is the closed-form 2x2
     minimizer of the joint off-diagonal objective (largest eigenvector of
-    the stacked 3x3 Gram matrix).  Terminates when a sweep improves the
-    objective by less than tol, then returns S_j = U diag(U* T_j U) U*.
+    the stacked 3x3 Gram matrix), applied as A <- R A R* to the tuple and
+    U <- U R* to the basis, both kept in one (n+1, d, d) stack.  Stops
+    when a sweep improves the objective by less than tol ("converged") or
+    after max_sweeps, then returns S_j = U diag(U* T_j U) U*.
     """
     if tol <= 0:
         raise InvalidInputError("tol must be positive")
-    d = T.dim
-    mats = [op.entries.copy() for op in T.ops]
-    U = np.eye(d, dtype=complex)
-    off = _off2(mats)
+    d, n = T.dim, T.n
+    X = np.stack([op.entries for op in T.ops] + [np.eye(d, dtype=complex)])
+    A, U = X[:n], X[n]
+    off = _off2(A)
     trace = [off]
     sweeps = 0
+    stop_reason = "max_sweeps"
     for _ in range(max_sweeps):
         sweeps += 1
         for p in range(d - 1):
             for q in range(p + 1, d):
-                G = np.zeros((3, 3))
-                for a in mats:
-                    h = np.array([
-                        (a[p, p] - a[q, q]).real,
-                        2 * a[p, q].real,
-                        2 * a[p, q].imag,
-                    ])
-                    G += np.outer(h, h)
+                h = np.array([(A[:, p, p] - A[:, q, q]).real,
+                              2 * A[:, p, q].real, 2 * A[:, p, q].imag])
+                # tuple order; a pairwise sum reorders the adds from n = 8
+                G = sum(np.outer(k, k) for k in h.T)
                 _, V = np.linalg.eigh(G)
                 v = V[:, -1]
                 if v[0] < 0:
@@ -199,36 +205,28 @@ def joint_diagonalize(T: OperatorTuple, tol: float = 1e-12,
                 s = (y - 1j * z) / denom
                 if abs(s) < 1e-16:
                     continue
-                # rows/cols p and q of each matrix: A <- R A R*, U <- U R*
-                for a in mats:
-                    rp = c * a[p, :] + np.conj(s) * a[q, :]
-                    rq = -s * a[p, :] + c * a[q, :]
-                    a[p, :], a[q, :] = rp, rq
-                    cp = c * a[:, p] + s * a[:, q]
-                    cq = -np.conj(s) * a[:, p] + c * a[:, q]
-                    a[:, p], a[:, q] = cp, cq
-                up = c * U[:, p] + s * U[:, q]
-                uq = -np.conj(s) * U[:, p] + c * U[:, q]
-                U[:, p], U[:, q] = up, uq
-        new_off = _off2(mats)
+                # rows p, q of the tuple; then columns p, q of tuple and U
+                ap, aq = A[:, p], A[:, q]
+                A[:, p], A[:, q] = c * ap + np.conj(s) * aq, -s * ap + c * aq
+                xp, xq = X[:, :, p], X[:, :, q]
+                X[:, :, p], X[:, :, q] = c * xp + s * xq, -np.conj(s) * xp + c * xq
+        new_off = _off2(A)
         trace.append(new_off)
         gain = off - new_off
         off = new_off
         if gain < tol:
+            stop_reason = "converged"
             break
-    S_ops = []
-    for a in mats:
-        diag = np.diagonal(a).real
-        s = (U * diag) @ U.conj().T
-        S_ops.append(HermitianMatrix((s + s.conj().T) / 2))
-    S = OperatorTuple(tuple(S_ops), norm_bound=T.norm_bound + 1e-6)
-    distances = tuple(
-        spectral_norm(T.ops[i].entries - S.ops[i].entries) for i in range(T.n)
-    )
+    mats = (U * np.diagonal(A, axis1=1, axis2=2).real[:, None]) @ U.conj().T
+    S = OperatorTuple(tuple(HermitianMatrix((a + a.conj().T) / 2) for a in mats),
+                      norm_bound=T.norm_bound + 1e-6)
+    distances = tuple(spectral_norm(t.entries - s.entries)
+                      for t, s in zip(T.ops, S.ops))
     return ApproximantReport(S=S, distances=distances,
                              max_distance=max(distances), sweeps=sweeps,
                              off_diag_residual=math.sqrt(max(off, 0.0)),
-                             objective_trace=tuple(trace))
+                             objective_trace=tuple(trace),
+                             stop_reason=stop_reason)
 
 
 @dataclass(frozen=True)
@@ -283,7 +281,7 @@ def scalar_synthetic_spectrum(op: SymbolOperator, eta: float,
     coords = spec.axis_coords()
     w1 = bump_weights(coords, a1, eta)
     w2 = bump_weights(coords, a2, eta)
-    thresh = (1.0 - eta) - 1e-9
+    thresh = (1.0 - eta) - BORDERLINE_TOL
     centers = []
     for i1 in range(coords.size):
         row = w1[i1]

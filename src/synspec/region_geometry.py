@@ -41,13 +41,7 @@ class BrickSet:
             raise InvalidInputError("k must be >= 1")
         if c.size and (c.min() < -self.k or c.max() > self.k - 1):
             raise InvalidInputError("bricks must stay inside [-1, 1]^n")
-        if c.shape[0] > 1:
-            order = np.lexsort(c.T[::-1])
-            c = c[order]
-            keep = np.ones(c.shape[0], dtype=bool)
-            keep[1:] = np.any(np.diff(c, axis=0) != 0, axis=1)
-            c = c[keep]
-        c = np.ascontiguousarray(c)
+        c = np.unique(c, axis=0)  # a sorted copy
         c.setflags(write=False)
         object.__setattr__(self, "corners", c)
 

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, PointOnEssentialSpectrumError
+from .errors import (InvalidInputError, PointOnEssentialSpectrumError,
+                     ResourceLimitError)
 from .operator_core import HermitianMatrix, commutator_norm, spectral_norm
 
 MAX_WINDING_SAMPLES = 2 ** 20
@@ -130,8 +131,9 @@ def symbol_curve(op: SymbolOperator, samples: int) -> np.ndarray:
 def fredholm_index(op: SymbolOperator, lam: complex) -> WindingReport:
     """Winding of the symbol around lam; index = -winding.
 
-    Sampling is refined (doubled) until every angular step is below pi/2,
-    with a hard cap of 2^20 samples.
+    Sampling is refined (doubled) until every angular step is below pi/2.
+    Raises ResourceLimitError if the steps are still too large at
+    MAX_WINDING_SAMPLES (2^20) samples, rather than guess a winding.
     """
     lam = complex(lam)
     samples = max(256, 8 * op.bandwidth)
@@ -144,8 +146,11 @@ def fredholm_index(op: SymbolOperator, lam: complex) -> WindingReport:
                 "lambda is within 1e-6 of the symbol curve"
             )
         steps = np.angle(np.roll(v, -1) / v)
-        if np.abs(steps).max() < math.pi / 2 or samples >= MAX_WINDING_SAMPLES:
+        if np.abs(steps).max() < math.pi / 2:
             break
+        if samples >= MAX_WINDING_SAMPLES:
+            raise ResourceLimitError("winding steps still exceed pi/2 at %d "
+                                     "samples" % samples)
         samples *= 2
     winding = int(round(float(steps.sum()) / (2 * math.pi)))
     return WindingReport(lam=lam, winding=winding, index=-winding,

@@ -139,19 +139,15 @@ class BallUnion:
             c = c[:, None]
         if c.shape[1] != self.n:
             raise InvalidInputError("centers do not match ambient dimension")
-        if self.eta <= 0:
-            raise InvalidInputError("radius must be positive")
-        if c.shape[0] > 1:
-            order = np.lexsort(c.T[::-1])
-            c = c[order]
-            keep = np.ones(c.shape[0], dtype=bool)
-            keep[1:] = np.any(np.diff(c, axis=0) != 0, axis=1)
-            c = c[keep]
+        if not (math.isfinite(self.eta) and self.eta > 0):
+            raise InvalidInputError("radius must be finite and positive")
+        if not np.isfinite(c).all():
+            raise InvalidInputError("centers must be finite")
+        c = np.unique(c, axis=0)  # a sorted copy
         if self.grid is not None and c.size:
             lat = c * self.grid.k
             if np.abs(lat - np.round(lat)).max() > 1e-9:
                 raise InvalidInputError("centers are off the lattice")
-        c = np.ascontiguousarray(c)
         c.setflags(write=False)
         object.__setattr__(self, "centers", c)
 

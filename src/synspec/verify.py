@@ -70,6 +70,9 @@ class _Recorder:
             entry["detail"] = detail
         self.properties.append(entry)
 
+    def failures(self, name: str, bad: list):
+        self.record(name, not bad, {"failures": bad} if bad else None)
+
     def report(self, suite: str, trials: int, seed: int) -> dict:
         return {
             "suite": suite,
@@ -99,7 +102,7 @@ def _suite_containment(trials: int, seed: int) -> dict:
         big = synthetic_spectrum(T, 0.2)
         if not containment_check(small, big, 0.1):
             bad.append({"trial": t, "n": n, "dim": dim})
-    rec.record("monotonicity", not bad, {"failures": bad} if bad else None)
+    rec.failures("monotonicity", bad)
 
     # dilation: (sSp^{d/2})_{d/2} subset sSp^{2d} at d = 0.1
     bad = []
@@ -113,7 +116,7 @@ def _suite_containment(trials: int, seed: int) -> dict:
         outer = synthetic_spectrum(T, 0.2)
         if not containment_check(inner, outer, 0.0):
             bad.append({"trial": t, "n": n, "dim": dim})
-    rec.record("dilation", not bad, {"failures": bad} if bad else None)
+    rec.failures("dilation", bad)
 
     # spectral containment: eigenvalues of T1 + i T2 land in sSp^{0.1}
     bad = []
@@ -127,7 +130,7 @@ def _suite_containment(trials: int, seed: int) -> dict:
         region = synthetic_spectrum(T, 0.1)
         if region.is_empty or not containment_check(pts, region, 0.0):
             bad.append({"trial": t, "dim": dim})
-    rec.record("spectral_containment", not bad, {"failures": bad} if bad else None)
+    rec.failures("spectral_containment", bad)
 
     # pruning soundness: the pruned sweep finds exactly the oracle's centers
     bad = []
@@ -137,7 +140,7 @@ def _suite_containment(trials: int, seed: int) -> dict:
         T = random_almost_commuting(2, dim, 1e-2, _sub_seed(seed, "pruning", t))
         if not matches_pointwise_oracle(T, 0.25, synthetic_spectrum(T, 0.25)):
             bad.append({"trial": t, "dim": dim})
-    rec.record("pruning_soundness", not bad, {"failures": bad} if bad else None)
+    rec.failures("pruning_soundness", bad)
 
     return rec.report("containment", trials, seed)
 
@@ -207,7 +210,7 @@ def _suite_uniqueness(trials: int, seed: int) -> dict:
         checks = witness_sandwich(S, eta, rng)
         if not all(checks.values()):
             bad.append({"trial": t, "n": n, "dim": dim, **checks})
-    rec.record("witness_sandwich", not bad, {"failures": bad} if bad else None)
+    rec.failures("witness_sandwich", bad)
 
     # nonemptiness under small commutators
     bad = []
@@ -217,7 +220,7 @@ def _suite_uniqueness(trials: int, seed: int) -> dict:
         T = random_almost_commuting(n, dim, 1e-3, _sub_seed(seed, "nonempty", t))
         if synthetic_spectrum(T, eta, grid_cap=2 ** 26).is_empty:
             bad.append({"trial": t, "n": n, "dim": dim})
-    rec.record("nonemptiness", not bad, {"failures": bad} if bad else None)
+    rec.failures("nonemptiness", bad)
 
     return rec.report("uniqueness", trials, seed)
 
@@ -261,7 +264,7 @@ def _suite_bricks(trials: int, seed: int) -> dict:
         failure = brick_cover_facts(X, k, brick_cover(X, k))
         if failure:
             bad.append({"trial": t, **failure})
-    rec.record("brick_cover_facts", not bad, {"failures": bad} if bad else None)
+    rec.failures("brick_cover_facts", bad)
 
     # canned topology cases
     single = BallUnion(2, 0.15, np.array([[0.0, 0.0]]))
@@ -324,7 +327,7 @@ def _suite_winding(trials: int, seed: int) -> dict:
         lam = r * np.exp(1j * ang)
         if fredholm_index(op, lam).index != 0:
             bad.append({"trial": t, "lambda": [lam.real, lam.imag]})
-    rec.record("outside_index_zero", not bad, {"failures": bad} if bad else None)
+    rec.failures("outside_index_zero", bad)
 
     # normal models (real symmetric coefficients): winding 0 off the curve
     bad = []
@@ -334,8 +337,7 @@ def _suite_winding(trials: int, seed: int) -> dict:
         lam = complex(rng.uniform(-2, 2), rng.uniform(0.05, 2))
         if fredholm_index(normal, lam).winding != 0:
             bad.append({"trial": t, "lambda": [lam.real, lam.imag]})
-    rec.record("normal_model_winding_zero", not bad,
-               {"failures": bad} if bad else None)
+    rec.failures("normal_model_winding_zero", bad)
 
     # quasicentral decay: commutator <= 2/w, decreasing in w
     norms = []
@@ -379,8 +381,7 @@ def _suite_obstruction(trials: int, seed: int) -> dict:
         )
         if bott_index(*ops).value != base.value:
             bad.append({"trial": t})
-    rec.record("perturbation_invariance", not bad,
-               {"failures": bad} if bad else None)
+    rec.failures("perturbation_invariance", bad)
 
     # gapped commuting triples have value 0
     bad = []
@@ -398,7 +399,7 @@ def _suite_obstruction(trials: int, seed: int) -> dict:
                 bad.append({"trial": t, "dim": dim})
         except GaplessCertificateError:
             continue  # singular certificate: no claim to check
-    rec.record("commuting_value_zero", not bad, {"failures": bad} if bad else None)
+    rec.failures("commuting_value_zero", bad)
 
     # orientation: swapping the first two coordinates flips the sign
     a = bott_index(T.ops[0], T.ops[1], T.ops[2]).value
@@ -426,8 +427,7 @@ def _suite_approximant(trials: int, seed: int) -> dict:
         if comms.max() > 1e-10 or not monotone:
             bad.append({"trial": t, "n": n, "dim": dim,
                         "max_comm": float(comms.max()), "monotone": monotone})
-    rec.record("commuting_output_and_descent", not bad,
-               {"failures": bad} if bad else None)
+    rec.failures("commuting_output_and_descent", bad)
 
     # exact 2x2 case: S1 = 0, distance = eps
     eps = 0.01

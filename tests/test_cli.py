@@ -114,6 +114,20 @@ class TestGeometryCommands:
         assert main([command, *inputs, "--resolution", "1e-7"]) == 3
         assert "resource-limit" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", [
+        {"n": 2, "eta": 0.1, "centers": [[0.0, float("nan")]]},
+        {"n": 2, "eta": float("nan"), "centers": [[0.0, 0.0]]},
+        {"n": 2, "eta": float("inf"), "centers": [[0.0, 0.0]]},
+    ])
+    @pytest.mark.parametrize("command", ["hausdorff", "holes"])
+    def test_non_finite_region_exit_2(self, tmp_path, capsys, command, bad):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))  # json writes NaN and Infinity
+        inputs = {"hausdorff": ["--a", str(path), "--b", str(path)],
+                  "holes": ["--input", str(path)]}[command]
+        assert main([command, *inputs, "--resolution", "0.01"]) == 2
+        assert "invalid-input" in capsys.readouterr().err
+
 
 class TestIndexCheck:
     def test_shift_fails_exit_1(self, shift_json, capsys):
@@ -139,6 +153,18 @@ class TestApprox:
         rep = json.loads(out.read_text())
         assert rep["max_distance"] < 1e-2
         assert len(rep["distances"]) == 2
+        assert rep["stop_reason"] == "converged"
+        line = capsys.readouterr().out
+        assert line.startswith("approx: sweeps=%d stop=converged max_distance="
+                               % rep["sweeps"])
+
+    def test_sweep_cap_in_summary(self, tmp_path, capsys):
+        path = tmp_path / "spin.json"
+        assert main(["gen", "spin-triple", "--j", "3", "--out", str(path)]) == 0
+        capsys.readouterr()
+        code = main(["approx", "--input", str(path), "--max-sweeps", "5"])
+        assert code == 0
+        assert "approx: sweeps=5 stop=max_sweeps " in capsys.readouterr().out
 
 
 class TestVerify:

@@ -192,6 +192,40 @@ class TestJointDiagonalize:
         with pytest.raises(InvalidInputError):
             joint_diagonalize(T, tol=0)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_dimension_one_returned_unchanged(self, n):
+        T = random_almost_commuting(n, 1, 1e-2, n)
+        rep = joint_diagonalize(T)
+        assert rep.sweeps == 1 and rep.stop_reason == "converged"
+        for t, s in zip(T.ops, rep.S.ops):
+            assert np.array_equal(t.entries, s.entries)
+
+    def test_single_diagonal_matrix_returned_unchanged(self):
+        T = OperatorTuple((herm(np.diag([0.3, -0.2, 0.5])),))
+        rep = joint_diagonalize(T)
+        assert rep.sweeps == 1 and rep.stop_reason == "converged"
+        assert np.array_equal(rep.S.ops[0].entries, T.ops[0].entries)
+
+    def test_single_matrix_reproduced(self):
+        T = random_almost_commuting(1, 12, 1e-2, 4)
+        rep = joint_diagonalize(T)
+        assert rep.stop_reason == "converged"
+        assert rep.max_distance < 1e-12
+
+    def test_sweep_cap_reported(self):
+        rep = joint_diagonalize(spin_triple(3), max_sweeps=5)
+        assert rep.sweeps == 5 and rep.stop_reason == "max_sweeps"
+        assert rep.to_json()["stop_reason"] == "max_sweeps"
+        assert len(rep.objective_trace) == 6
+
+    def test_eight_matrices(self):
+        # n >= 8 is where the Gram matrix's summation order starts to matter
+        T = random_almost_commuting(8, 6, 1e-2, 40)
+        rep = joint_diagonalize(T)
+        assert rep.stop_reason == "converged"
+        assert pairwise_commutator_norms(rep.S).max() <= 1e-10
+        assert np.all(np.diff(rep.objective_trace) <= 1e-10)
+
 
 class TestIndexHypothesisCheck:
     def test_shift_fails_with_hole_index(self):

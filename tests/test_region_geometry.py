@@ -80,6 +80,10 @@ class TestBrickSet:
         b = BrickSet(2, 5, np.array([[0, 0], [0, 0], [1, 1]]))
         assert b.corners.shape == (2, 2)
 
+    def test_corners_sorted_lexicographically(self):
+        b = BrickSet(2, 5, np.array([[1, -2], [-1, 3], [-1, -2], [1, -2]]))
+        assert b.corners.tolist() == [[-1, -2], [-1, 3], [1, -2]]
+
     def test_contains_closed_boxes(self):
         b = BrickSet(2, 5, np.array([[0, 0]]))
         pts = np.array([[0.0, 0.0], [0.2, 0.2], [0.1, 0.1], [0.21, 0.0]])

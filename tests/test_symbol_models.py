@@ -5,6 +5,7 @@ from synspec import (
     HermitianMatrix,
     InvalidInputError,
     PointOnEssentialSpectrumError,
+    ResourceLimitError,
     SymbolOperator,
     TruncationFamily,
     band_matrix,
@@ -90,6 +91,13 @@ class TestFredholmIndex:
         for _ in range(20):
             lam = complex(rng.uniform(-2, 2), rng.uniform(0.1, 1.5))
             assert fredholm_index(op, lam).winding == 0
+
+    @pytest.mark.parametrize("scale", [1 - 1.5e-6, 1 + 1.5e-6])
+    def test_sample_cap_raises(self, scale):
+        # 1.5e-6 from the curve: steps stay above pi/2 at the cap
+        lam = scale * np.exp(2j * np.pi / 3)
+        with pytest.raises(ResourceLimitError):
+            fredholm_index(SymbolOperator.shift(), lam)
 
     def test_index_matches_winding_sign(self):
         rep = fredholm_index(SymbolOperator.shift(), 0.1 + 0.1j)

@@ -110,6 +110,21 @@ class TestBallUnion:
         assert b.centers.shape == (2, 2)
         assert np.allclose(b.centers[0], [0, 0])
 
+    def test_rows_sorted_lexicographically(self):
+        c = np.array([[0.5, -0.5], [-0.5, 0.5], [-0.5, -0.5], [0.5, -0.5]])
+        b = BallUnion(2, 0.1, c)
+        assert b.centers.tolist() == [[-0.5, -0.5], [-0.5, 0.5], [0.5, -0.5]]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_center_rejected(self, bad):
+        with pytest.raises(InvalidInputError):
+            BallUnion(2, 0.1, np.array([[0.0, 0.0], [0.0, bad]]))
+
+    @pytest.mark.parametrize("eta", [0.0, -0.1, np.nan, np.inf])
+    def test_bad_radius_rejected(self, eta):
+        with pytest.raises(InvalidInputError):
+            BallUnion(2, eta, np.array([[0.0, 0.0]]))
+
     def test_distances(self):
         b = BallUnion(2, 0.1, np.array([[0.0, 0.0]]))
         d = b.distance_to_points(np.array([[0.05, 0.0], [0.5, 0.0]]))
