@@ -176,17 +176,15 @@ def joint_diagonalize(T: OperatorTuple, tol: float = 1e-12,
     when a sweep improves the objective by less than tol ("converged") or
     after max_sweeps, then returns S_j = U diag(U* T_j U) U*.
     """
-    if tol <= 0:
-        raise InvalidInputError("tol must be positive")
+    if max_sweeps < 1 or not (math.isfinite(tol) and tol > 0):
+        raise InvalidInputError("need a finite tol > 0 and max_sweeps >= 1")
     d, n = T.dim, T.n
     X = np.stack([op.entries for op in T.ops] + [np.eye(d, dtype=complex)])
     A, U = X[:n], X[n]
     off = _off2(A)
     trace = [off]
-    sweeps = 0
     stop_reason = "max_sweeps"
-    for _ in range(max_sweeps):
-        sweeps += 1
+    for sweeps in range(1, max_sweeps + 1):
         for p in range(d - 1):
             for q in range(p + 1, d):
                 h = np.array([(A[:, p, p] - A[:, q, q]).real,

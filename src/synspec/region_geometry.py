@@ -20,7 +20,7 @@ from .errors import (
     InvalidInputError,
     UnsupportedDimensionError,
 )
-from .synthetic_spectrum import BallUnion, raster_axes
+from .synthetic_spectrum import BallUnion, raster_axes, unique_rows
 
 
 @dataclass(frozen=True)
@@ -35,13 +35,13 @@ class BrickSet:
         c = np.asarray(self.corners, dtype=int)
         if c.size == 0:
             c = np.zeros((0, self.n), dtype=int)
-        if c.ndim != 2 or c.shape[1] != self.n:
-            raise InvalidInputError("corner array does not match dimension")
+        if self.n < 1 or c.ndim != 2 or c.shape[1] != self.n:
+            raise InvalidInputError("dimension must be >= 1 and match the corners")
         if self.k < 1:
             raise InvalidInputError("k must be >= 1")
         if c.size and (c.min() < -self.k or c.max() > self.k - 1):
             raise InvalidInputError("bricks must stay inside [-1, 1]^n")
-        c = np.unique(c, axis=0)  # a sorted copy
+        c = unique_rows(c)
         c.setflags(write=False)
         object.__setattr__(self, "corners", c)
 
@@ -158,15 +158,13 @@ def region_topology(R, resolution: float) -> RegionTopology:
     to the region), tie-broken toward the hole centroid.
     """
     if isinstance(R, BallUnion):
-        if R.is_empty:
-            raise EmptyRegionError("topology of an empty region")
         n, r = R.n, R.eta
     elif isinstance(R, BrickSet):
-        if R.is_empty:
-            raise EmptyRegionError("topology of an empty region")
         n, r = R.n, 1.0 / R.k
     else:
         raise InvalidInputError("expected a BallUnion or BrickSet")
+    if R.is_empty:
+        raise EmptyRegionError("topology of an empty region")
     if n != 2:
         raise UnsupportedDimensionError("topology is implemented for n = 2 only")
     if not 0 < resolution <= r / 10 + 1e-12:

@@ -138,8 +138,7 @@ def fredholm_index(op: SymbolOperator, lam: complex) -> WindingReport:
     lam = complex(lam)
     samples = max(256, 8 * op.bandwidth)
     while True:
-        t = np.arange(samples) / samples
-        v = op.eval(np.exp(2j * math.pi * t)) - lam
+        v = symbol_curve(op, samples) - lam
         mind = float(np.abs(v).min())
         if mind <= 1e-6:
             raise PointOnEssentialSpectrumError(

@@ -6,10 +6,10 @@ the tuple has norm >= 1-eta.  Evaluation works in the per-operator
 eigenbases, which keeps each bump factor low-rank and lets the grid sweep
 prune whole prefixes whose partial product already falls below threshold
 (sound: appending a contraction cannot increase the norm).  The sweep goes
-one axis at a time: it stacks every surviving prefix as zero-padded factors,
-drops most (prefix, candidate) pairs by a Frobenius bound and scores the
-rest with one batched ``eigvalsh``.  Prefixes and pairs go through in chunks
-of ``_BATCH`` pairs, so memory beyond the stored prefixes stays bounded.
+one axis at a time and keeps the Gram matrix of each prefix's product.  A
+(prefix, candidate) pair is dropped by the exact Frobenius norm of its
+product; ``eigvalsh`` of its Gram matrix scores the rest and becomes the next
+state.  Chunks of ``_BATCH`` pairs bound memory beyond the stored prefixes.
 """
 from __future__ import annotations
 
@@ -114,6 +114,12 @@ def raster_axes(lo, hi, step: float) -> list:
     return [np.arange(a, b, step) for a, b in zip(lo, hi)]
 
 
+def unique_rows(a: np.ndarray) -> np.ndarray:
+    """The distinct rows of a finite 2-D array in lexicographic order."""
+    a = a[np.lexsort(a.T[::-1])]
+    return a[(np.diff(a, axis=0, prepend=np.nan) != 0).any(axis=1)]
+
+
 def grid_points(spec: GridSpec, cap: int = DEFAULT_GRID_CAP) -> np.ndarray:
     """All lattice points of the spec, in lexicographic order."""
     _check_cap(spec.point_count, cap)
@@ -137,13 +143,13 @@ class BallUnion:
             c = np.zeros((0, self.n))
         if c.ndim == 1:
             c = c[:, None]
-        if c.shape[1] != self.n:
-            raise InvalidInputError("centers do not match ambient dimension")
+        if self.n < 1 or c.shape[1] != self.n:
+            raise InvalidInputError("dimension must be >= 1 and match the centers")
         if not (math.isfinite(self.eta) and self.eta > 0):
             raise InvalidInputError("radius must be finite and positive")
         if not np.isfinite(c).all():
             raise InvalidInputError("centers must be finite")
-        c = np.unique(c, axis=0)  # a sorted copy
+        c = unique_rows(c)
         if self.grid is not None and c.size:
             lat = c * self.grid.k
             if np.abs(lat - np.round(lat)).max() > 1e-9:
@@ -239,13 +245,13 @@ def synthetic_spectrum(T: OperatorTuple, eta: float, *,
 
 
 def _supports(w: np.ndarray, U: np.ndarray):
-    """Front-packed, zero-padded bump supports: weights, indices, columns."""
+    """Front-packed bump supports: zero-padded weights, indices, columns."""
     supp = w > 0
     m = int(supp.sum(axis=1).max())
     # stable argsort moves each row's support indices to the front
     order = np.argsort(~supp, axis=1, kind="stable")[:, :m]
     ws = np.take_along_axis(w, order, axis=1)
-    return ws, order, U[:, order].transpose(1, 0, 2) * (ws > 0)[:, None, :]
+    return ws, order, U[:, order].transpose(1, 0, 2)
 
 
 def _pruned_sweep(coords, eigs, W, thresh) -> np.ndarray:
@@ -255,48 +261,47 @@ def _pruned_sweep(coords, eigs, W, thresh) -> np.ndarray:
         return coords[pass_idx[0]][:, None]
     if any(p.size == 0 for p in pass_idx):
         return np.zeros((0, n))
-    # prefix i has coordinate indices cs[i] and running product A_i B_i*;
-    # B_i = Us[last[i]] has orthonormal or zero columns, so ||A_i B_i*|| = ||A_i||
+    # prefix i has coordinate indices cs[i] and running product P_i with
+    # P_i* P_i = B G_i B*, B = Us[last[i]]; G_i is zero in B's padded columns
     ws, _, Us = _supports(W[0][pass_idx[0]], eigs[0][1])
-    A, cs, last = Us * ws[:, None, :], pass_idx[0][:, None], np.arange(len(Us))
+    G = ws[:, :, None] ** 2 * np.eye(ws.shape[1])
+    cs, last = pass_idx[0][:, None], np.arange(len(Us))
     for axis in range(1, n):
         U, cand = eigs[axis][1], pass_idx[axis]
         wc = W[axis][cand]
         # Kh[j] = U* B_j = K_j*, shared by the prefixes that end in candidate j
         Kh = U.conj().T @ Us
-        # cheap necessary condition ||A K diag(w)|| <= ||A||_F ||K diag(w)||_F
-        F = (np.abs(Kh) ** 2).sum(axis=2) @ (wc ** 2).T
         ws, order, Us = _supports(wc, U)
         step = max(1, _BATCH // cand.size)
         kept, nxt, solved = [np.zeros((2, 0), dtype=int)], [], 0
-        for lo in range(0, len(A), step):
-            a, b = A[lo:lo + step], last[lo:lo + step]
-            H = a.conj().transpose(0, 2, 1) @ a
-            ub2 = np.trace(H, axis1=1, axis2=2).real[:, None] * F[b]
+        for lo in range(0, len(G), step):
+            Khb = Kh[last[lo:lo + step]]
+            KH = Khb @ G[lo:lo + step]
+            # ||P theta||^2 <= ||P theta||_F^2 = sum_j wc_j^2 (K* G K)_jj
+            ub2 = (KH * Khb.conj()).sum(axis=2).real @ (wc ** 2).T
             pi, ci = np.nonzero(ub2 >= thresh ** 2)
             solved += pi.size
-            HKt = (Kh[b] @ H).conj()  # (H K)^T, as H is Hermitian
             for plo in range(0, pi.size, _BATCH):
                 p, c = pi[plo:plo + _BATCH], ci[plo:plo + _BATCH]
-                # ||A K_s diag(w)||^2 = top eigenvalue of diag(w) K_s* H K_s diag(w),
-                # s the candidate's support; eigvalsh reads only the lower triangle
+                # Gram matrix diag(w) K_s* G K_s diag(w), s the candidate's support;
+                # its top eigenvalue is ||P theta||^2 (eigvalsh reads one triangle)
                 w = ws[c][:, :, None]
-                Khw = Kh[b[p][:, None], order[c]] * w
-                M = Khw @ (HKt[p[:, None], order[c]] * w).transpose(0, 2, 1)
+                rows = p[:, None], order[c]
+                M = (Khb[rows] * w) @ (KH[rows] * w).conj().transpose(0, 2, 1)
                 ev = np.linalg.eigvalsh(M)[:, -1]
                 sel = np.sqrt(np.clip(ev, 0.0, None)) >= thresh
                 kept.append(np.stack([lo + p[sel], c[sel]]))
                 if axis < n - 1:
-                    nxt.append(a[p[sel]] @ Khw[sel].conj().transpose(0, 2, 1))
+                    nxt.append(M[sel])
         p, c = np.concatenate(kept, axis=1)
         log.debug("sweep axis %d: prefixes=%d bounded_out=%d eigensolved=%d "
-                  "survivors=%d", axis, len(A), len(A) * cand.size - solved,
+                  "survivors=%d", axis, len(G), len(G) * cand.size - solved,
                   solved, p.size)
         if p.size == 0:
             return np.zeros((0, n))
         cs = np.hstack([cs[p], cand[c][:, None]])
         if axis < n - 1:
-            A, last = np.concatenate(nxt), c
+            G, last = np.concatenate(nxt), c
     return coords[cs]
 
 

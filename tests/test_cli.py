@@ -166,6 +166,17 @@ class TestApprox:
         assert code == 0
         assert "approx: sweeps=5 stop=max_sweeps " in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--max-sweeps", "0"), ("--max-sweeps", "-3"),
+        ("--tol", "nan"), ("--tol", "inf")])
+    def test_bad_stopping_input_exit_2(self, tmp_path, capsys, flag, value):
+        path = tmp_path / "t.json"
+        dump_canonical(random_almost_commuting(2, 4, 1e-2, 0).to_json(),
+                       str(path))
+        assert main(["approx", "--input", str(path), flag, value]) == 2
+        captured = capsys.readouterr()
+        assert "invalid-input" in captured.err and captured.out == ""
+
 
 class TestVerify:
     def test_unknown_suite_exit_2(self, capsys):

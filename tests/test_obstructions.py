@@ -192,6 +192,14 @@ class TestJointDiagonalize:
         with pytest.raises(InvalidInputError):
             joint_diagonalize(T, tol=0)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"max_sweeps": 0}, {"max_sweeps": -3}, {"tol": -1.0},
+        {"tol": float("nan")}, {"tol": float("inf")}])
+    def test_bad_stopping_input_rejected(self, kwargs):
+        T = random_almost_commuting(2, 4, 1e-2, 0)
+        with pytest.raises(InvalidInputError):
+            joint_diagonalize(T, **kwargs)
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_dimension_one_returned_unchanged(self, n):
         T = random_almost_commuting(n, 1, 1e-2, n)

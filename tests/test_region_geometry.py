@@ -89,6 +89,10 @@ class TestBrickSet:
         pts = np.array([[0.0, 0.0], [0.2, 0.2], [0.1, 0.1], [0.21, 0.0]])
         assert list(b.contains_points(pts)) == [True, True, True, False]
 
+    def test_zero_dimension_rejected(self):
+        with pytest.raises(InvalidInputError):
+            BrickSet(0, 5, np.zeros((0, 0), dtype=int))
+
     def test_bounds_enforced(self):
         with pytest.raises(InvalidInputError):
             BrickSet(2, 5, np.array([[5, 0]]))

@@ -14,15 +14,18 @@ from synspec import (
     InvalidInputError,
     InvalidWitnessError,
     OperatorTuple,
+    PiecewiseLinearFn,
     ResourceLimitError,
     big_theta_norm,
     containment_check,
     dilate,
+    func_calc,
     grid_points,
     hausdorff_distance,
     near_spectrum_witness,
     random_almost_commuting,
     random_hermitian,
+    spectral_norm,
     synthetic_spectrum,
 )
 from synspec.verify import matches_pointwise_oracle
@@ -114,6 +117,10 @@ class TestBallUnion:
         c = np.array([[0.5, -0.5], [-0.5, 0.5], [-0.5, -0.5], [0.5, -0.5]])
         b = BallUnion(2, 0.1, c)
         assert b.centers.tolist() == [[-0.5, -0.5], [-0.5, 0.5], [0.5, -0.5]]
+
+    def test_zero_dimension_rejected(self):
+        with pytest.raises(InvalidInputError):
+            BallUnion(0, 0.1, np.zeros((0, 0)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_center_rejected(self, bad):
@@ -227,14 +234,30 @@ class TestSyntheticSpectrum:
                                    "eigensolved=0 survivors=0"]
 
     def test_level_counts_logged(self, caplog):
-        # the counts of the per-prefix loop this sweep replaced
+        # prefixes and survivors are those of the per-prefix loop this sweep
+        # replaced; a pair is eigensolved iff its dense bump product has
+        # Frobenius norm >= the threshold
         caplog.set_level(logging.DEBUG, logger=sweep_module.__name__)
-        T = scaled(random_almost_commuting(3, 4, 1e-2, 0), 0.3)
-        assert synthetic_spectrum(T, 0.2).centers.shape[0] == 2361
-        assert caplog.messages == [
-            "sweep axis 1: prefixes=18 bounded_out=46 eigensolved=296 "
+        T, eta = scaled(random_almost_commuting(3, 4, 1e-2, 0), 0.3), 0.2
+        thresh = (1.0 - eta) - sweep_module.BORDERLINE_TOL
+        coords = GridSpec.create(3, 0.3, eta).axis_coords()
+        cand = [[b for b in (func_calc(op, PiecewiseLinearFn.bump(c, eta)).entries
+                             for c in coords) if spectral_norm(b) >= thresh]
+                for op in T.ops]
+        prefixes, want = cand[0], []
+        for axis in (1, 2):
+            pairs = [a @ b for a in prefixes for b in cand[axis]]
+            solved = sum(np.linalg.norm(x) >= thresh for x in pairs)
+            survivors = [x for x in pairs if spectral_norm(x) >= thresh]
+            want.append("sweep axis %d: prefixes=%d bounded_out=%d eigensolved=%d "
+                        "survivors=%d" % (axis, len(prefixes), len(pairs) - solved,
+                                          solved, len(survivors)))
+            prefixes = survivors
+        assert synthetic_spectrum(T, eta).centers.shape[0] == 2361
+        assert caplog.messages == want == [
+            "sweep axis 1: prefixes=18 bounded_out=73 eigensolved=269 "
             "survivors=268",
-            "sweep axis 2: prefixes=268 bounded_out=1009 eigensolved=4083 "
+            "sweep axis 2: prefixes=268 bounded_out=2728 eigensolved=2364 "
             "survivors=2361",
         ]
 
