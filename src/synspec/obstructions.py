@@ -165,49 +165,73 @@ def _off2(mats) -> float:
     return total
 
 
+def _round_robin(d: int) -> np.ndarray:
+    """Round-robin schedule (Brent & Luk 1985) as a (2, rounds, d // 2) array.
+
+    Index 0 stays put while the others turn around a ring; an odd d gets a
+    dummy index d, whose pairs are dropped.  Each round's pairs p < q are
+    disjoint, and a sweep meets every pair exactly once.
+    """
+    m = d + d % 2
+    ring, rounds = np.arange(m), []
+    for _ in range(m - 1):
+        pq = np.sort([ring[:m // 2], ring[::-1][:m // 2]], axis=0)
+        rounds.append(pq[:, pq[1] < d])
+        ring = np.concatenate([ring[:1], ring[-1:], ring[1:-1]])
+    return np.stack(rounds, axis=1)
+
+
+def _rotate_round(X: np.ndarray, n: int, p: np.ndarray, q: np.ndarray) -> None:
+    """Apply the rotations of one round of disjoint pairs (p, q) in place.
+
+    Each angle is the closed-form 2x2 minimizer of the joint off-diagonal
+    objective (Cardoso & Souloumiac 1996), the top eigenvector of the
+    pair's 3x3 Gram matrix.  A rotation touches only rows and columns p, q,
+    so one batched eigh gives every angle, and the round is applied as
+    A <- R A R* on X[:n] and U <- U R* on X[n].
+    """
+    A = X[:n]
+    apq = A[:, p, q]
+    h = np.stack([(A[:, p, p] - A[:, q, q]).real, 2 * apq.real, 2 * apq.imag],
+                 axis=-1).transpose(1, 0, 2)
+    _, V = np.linalg.eigh(h.transpose(0, 2, 1) @ h)
+    x, y, z = np.where(V[:, :1, -1] < 0, -V[:, :, -1], V[:, :, -1]).T
+    denom = np.sqrt(2.0 * (x + 1.0))
+    c, s = np.sqrt((x + 1.0) / 2.0), (y - 1j * z) / denom
+    turn = (denom >= 1e-12) & (np.abs(s) >= 1e-16)
+    p, q, c, s = p[turn], q[turn], c[turn], s[turn]
+    ap, aq = A[:, p], A[:, q]
+    A[:, p] = c[:, None] * ap + np.conj(s)[:, None] * aq
+    A[:, q] = -s[:, None] * ap + c[:, None] * aq
+    xp, xq = X[:, :, p], X[:, :, q]
+    X[:, :, p] = c * xp + s * xq
+    X[:, :, q] = -np.conj(s) * xp + c * xq
+
+
 def joint_diagonalize(T: OperatorTuple, tol: float = 1e-12,
                       max_sweeps: int = 200) -> ApproximantReport:
     """Jacobi-type simultaneous diagonalization; output commutes exactly.
 
-    Cyclic sweeps over index pairs; each rotation is the closed-form 2x2
-    minimizer of the joint off-diagonal objective (largest eigenvector of
-    the stacked 3x3 Gram matrix), applied as A <- R A R* to the tuple and
-    U <- U R* to the basis, both kept in one (n+1, d, d) stack.  Stops
-    when a sweep improves the objective by less than tol ("converged") or
-    after max_sweeps, then returns S_j = U diag(U* T_j U) U*.
+    A sweep is the d - 1 rounds (d when d is odd) of a round-robin
+    schedule, each round rotating disjoint index pairs in one batched step
+    on the (n+1, d, d) stack of tuple and basis U.  Disjoint rotations
+    commute, so a round equals its rotations applied one at a time and the
+    objective never rises.  Stops when a sweep improves the objective by
+    less than tol ("converged") or after max_sweeps, then returns
+    S_j = U diag(U* T_j U) U*.
     """
     if max_sweeps < 1 or not (math.isfinite(tol) and tol > 0):
         raise InvalidInputError("need a finite tol > 0 and max_sweeps >= 1")
     d, n = T.dim, T.n
     X = np.stack([op.entries for op in T.ops] + [np.eye(d, dtype=complex)])
     A, U = X[:n], X[n]
+    schedule = _round_robin(d)
     off = _off2(A)
     trace = [off]
     stop_reason = "max_sweeps"
     for sweeps in range(1, max_sweeps + 1):
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                h = np.array([(A[:, p, p] - A[:, q, q]).real,
-                              2 * A[:, p, q].real, 2 * A[:, p, q].imag])
-                # tuple order; a pairwise sum reorders the adds from n = 8
-                G = sum(np.outer(k, k) for k in h.T)
-                _, V = np.linalg.eigh(G)
-                v = V[:, -1]
-                if v[0] < 0:
-                    v = -v
-                x, y, z = v
-                denom = math.sqrt(2.0 * (x + 1.0))
-                if denom < 1e-12:
-                    continue
-                c = math.sqrt((x + 1.0) / 2.0)
-                s = (y - 1j * z) / denom
-                if abs(s) < 1e-16:
-                    continue
-                # rows p, q of the tuple; then columns p, q of tuple and U
-                ap, aq = A[:, p], A[:, q]
-                A[:, p], A[:, q] = c * ap + np.conj(s) * aq, -s * ap + c * aq
-                xp, xq = X[:, :, p], X[:, :, q]
-                X[:, :, p], X[:, :, q] = c * xp + s * xq, -np.conj(s) * xp + c * xq
+        for p, q in zip(*schedule):
+            _rotate_round(X, n, p, q)
         new_off = _off2(A)
         trace.append(new_off)
         gain = off - new_off

@@ -154,25 +154,6 @@ class PiecewiseLinearFn:
         ])
         return cls(xs, np.array([0.0, 1.0, 1.0, 0.0]))
 
-    @classmethod
-    def identity(cls, lo: float = -1.0, hi: float = 1.0) -> "PiecewiseLinearFn":
-        return cls(np.array([lo, hi]), np.array([lo, hi]))
-
-    @classmethod
-    def constant(cls, value: float) -> "PiecewiseLinearFn":
-        return cls(np.array([0.0]), np.array([float(value)]))
-
-
-def compose(outer: PiecewiseLinearFn, inner: PiecewiseLinearFn) -> PiecewiseLinearFn:
-    """Composition outer(inner(.)) for nondecreasing ``inner``."""
-    if inner.ys.size > 1 and np.any(np.diff(inner.ys) < 0):
-        raise InvalidInputError("inner function must be nondecreasing")
-    # pull outer breakpoints back through inner, then merge with inner's own
-    pulled = np.interp(outer.xs, inner.ys, inner.xs)
-    xs = np.unique(np.concatenate([inner.xs, pulled]))
-    ys = outer(inner(xs))
-    return PiecewiseLinearFn(xs, ys)
-
 
 def spectral_norm(a: np.ndarray) -> float:
     """Largest singular value of an arbitrary dense matrix."""

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
-from scipy.spatial import cKDTree
 
 from .errors import (
     EmptyInputError,
@@ -175,7 +174,7 @@ def region_topology(R, resolution: float) -> RegionTopology:
     xs, ys = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([xs.ravel(), ys.ravel()], axis=1)
     if isinstance(R, BallUnion):
-        d, _ = cKDTree(R.centers).query(pts)
+        d, _ = R.tree.query(pts)
         mask = (d <= R.eta).reshape(xs.shape)
     else:
         mask = R.contains_points(pts).reshape(xs.shape)

@@ -164,16 +164,6 @@ def band_matrix(op: SymbolOperator, N: int) -> np.ndarray:
     return out
 
 
-def truncate(op: SymbolOperator, N: int):
-    """Hermitian parts (T1, T2) of the N x N band compression."""
-    if N <= 4 * op.bandwidth:
-        raise InvalidInputError("N must exceed 4*bandwidth")
-    t = band_matrix(op, N)
-    t1 = (t + t.conj().T) / 2
-    t2 = (t - t.conj().T) / 2j
-    return HermitianMatrix(t1), HermitianMatrix(t2)
-
-
 def ramp_diagonal(N: int, n0: int, w: int, sharp: bool = False) -> np.ndarray:
     """Approximate-identity diagonal cutting both corners of the truncation.
 

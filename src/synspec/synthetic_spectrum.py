@@ -16,6 +16,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import ndimage
@@ -74,10 +75,6 @@ class GridSpec:
         return cls(n, float(M), float(eta), _lattice_denominator(n, M, eta))
 
     @property
-    def is_canonical(self) -> bool:
-        return self.k == _lattice_denominator(self.n, self.M, self.eta)
-
-    @property
     def m_max(self) -> int:
         return int(math.floor(self.M * self.k + 1e-9))
 
@@ -116,6 +113,10 @@ def raster_axes(lo, hi, step: float) -> list:
 
 def unique_rows(a: np.ndarray) -> np.ndarray:
     """The distinct rows of a finite 2-D array in lexicographic order."""
+    step = np.diff(a, axis=0)
+    first = (step != 0).argmax(axis=1)[:, None]
+    if (np.take_along_axis(step, first, axis=1) > 0).all():
+        return a.copy()  # already strictly increasing, as the sweep emits
     a = a[np.lexsort(a.T[::-1])]
     return a[(np.diff(a, axis=0, prepend=np.nan) != 0).any(axis=1)]
 
@@ -161,12 +162,17 @@ class BallUnion:
     def is_empty(self) -> bool:
         return self.centers.shape[0] == 0
 
+    @cached_property
+    def tree(self) -> cKDTree:
+        """KD-tree over the centers, built on first use."""
+        return cKDTree(self.centers)
+
     def distance_to_points(self, points: np.ndarray) -> np.ndarray:
         """Euclidean distance from each query point to the ball union."""
         if self.is_empty:
             raise EmptyRegionError("distance to an empty region is undefined")
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        d, _ = cKDTree(self.centers).query(pts)
+        d, _ = self.tree.query(pts)
         return np.maximum(0.0, d - self.eta)
 
     def contains_points(self, points: np.ndarray, tol: float = 1e-9) -> np.ndarray:
@@ -438,7 +444,7 @@ def containment_check(inner, outer: BallUnion, slack: float,
             return True
         if outer.is_empty:
             return False
-        d, _ = cKDTree(outer.centers).query(inner.centers)
+        d, _ = outer.tree.query(inner.centers)
         easy = d + inner.eta <= outer.eta + slack + tol
         if easy.all():
             return True

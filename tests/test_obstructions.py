@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from synspec import (
     scalar_synthetic_spectrum,
     spin_triple,
 )
+from synspec.obstructions import _rotate_round, _round_robin
 
 
 def herm(a):
@@ -226,13 +229,54 @@ class TestJointDiagonalize:
         assert rep.to_json()["stop_reason"] == "max_sweeps"
         assert len(rep.objective_trace) == 6
 
-    def test_eight_matrices(self):
+    @pytest.mark.parametrize("n", [8, 10, 12])
+    def test_eight_matrices(self, n):
         # n >= 8 is where the Gram matrix's summation order starts to matter
-        T = random_almost_commuting(8, 6, 1e-2, 40)
+        T = random_almost_commuting(n, 6, 1e-2, 40)
         rep = joint_diagonalize(T)
         assert rep.stop_reason == "converged"
         assert pairwise_commutator_norms(rep.S).max() <= 1e-10
         assert np.all(np.diff(rep.objective_trace) <= 1e-10)
+
+
+def _rotate_pairwise(X, n, pairs):
+    """Reference: the rotations of a round applied one pair at a time."""
+    A = X[:n]
+    for p, q in pairs:
+        h = np.array([(A[:, p, p] - A[:, q, q]).real,
+                      2 * A[:, p, q].real, 2 * A[:, p, q].imag])
+        v = np.linalg.eigh(h @ h.T)[1][:, -1]
+        x, y, z = v if v[0] >= 0 else -v
+        denom = math.sqrt(2.0 * (x + 1.0))
+        c, s = math.sqrt((x + 1.0) / 2.0), (y - 1j * z) / denom
+        if denom < 1e-12 or abs(s) < 1e-16:
+            continue
+        ap, aq = A[:, p], A[:, q]
+        A[:, p], A[:, q] = c * ap + np.conj(s) * aq, -s * ap + c * aq
+        xp, xq = X[:, :, p], X[:, :, q]
+        X[:, :, p], X[:, :, q] = c * xp + s * xq, -np.conj(s) * xp + c * xq
+
+
+class TestRoundRobin:
+    @pytest.mark.parametrize("d", range(2, 41))
+    def test_schedule_covers_each_pair_once(self, d):
+        P, Q = _round_robin(d)
+        assert P.shape == Q.shape == (d - 1 + d % 2, d // 2)
+        assert np.all(P < Q)
+        for p, q in zip(P, Q):
+            assert np.unique(np.concatenate([p, q])).size == 2 * p.size
+        met = sorted(zip(P.ravel().tolist(), Q.ravel().tolist()))
+        assert met == [(p, q) for p in range(d) for q in range(p + 1, d)]
+
+    @pytest.mark.parametrize("n, d", [(1, 5), (2, 8), (3, 9), (8, 6)])
+    def test_batched_round_equals_pairwise(self, n, d):
+        T = random_almost_commuting(n, d, 1e-1, 7 * d + n)
+        X = np.stack([op.entries for op in T.ops] + [np.eye(d, dtype=complex)])
+        Y = X.copy()
+        for p, q in zip(*_round_robin(d)):
+            _rotate_round(X, n, p, q)
+            _rotate_pairwise(Y, n, zip(p, q))
+            assert np.allclose(X, Y, rtol=0, atol=1e-13)
 
 
 class TestIndexHypothesisCheck:

@@ -14,7 +14,6 @@ from synspec import (
     quasicentral_family,
     ramp_diagonal,
     symbol_curve,
-    truncate,
 )
 from synspec.verify import winding_oracle
 
@@ -109,21 +108,9 @@ class TestTruncations:
         t = band_matrix(SymbolOperator.shift(), 3)
         assert np.allclose(t, np.diag(np.ones(2), -1))
 
-    def test_hermitian_parts(self):
-        t1, t2 = truncate(SymbolOperator.shift(), 8)
-        expect = np.diag(0.5 * np.ones(7), -1) + np.diag(0.5 * np.ones(7), 1)
-        assert np.allclose(t1.entries, expect)
-        back = t1.entries + 1j * t2.entries
-        assert np.allclose(back, band_matrix(SymbolOperator.shift(), 8))
-
     def test_constant_symbol(self):
-        t1, t2 = truncate(SymbolOperator({0: 1.0}), 5)
-        assert np.allclose(t1.entries, np.eye(5))
-        assert np.allclose(t2.entries, 0)
-
-    def test_small_truncation_rejected(self):
-        with pytest.raises(InvalidInputError):
-            truncate(SymbolOperator({2: 1.0}), 8)
+        assert np.array_equal(band_matrix(SymbolOperator({0: 1.0}), 5),
+                              np.eye(5))
 
 
 class TestRampAndFamily:

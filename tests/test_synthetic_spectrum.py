@@ -83,7 +83,6 @@ class TestGridSpec:
     def test_lattice_rule_reference_case(self):
         spec = GridSpec.create(2, 1.0, 0.1)
         assert spec.k == 77
-        assert spec.is_canonical
         assert spec.point_count == 155 ** 2 == 24025
 
     def test_rule_minimality(self):
@@ -117,6 +116,18 @@ class TestBallUnion:
         c = np.array([[0.5, -0.5], [-0.5, 0.5], [-0.5, -0.5], [0.5, -0.5]])
         b = BallUnion(2, 0.1, c)
         assert b.centers.tolist() == [[-0.5, -0.5], [-0.5, 0.5], [0.5, -0.5]]
+
+    @pytest.mark.parametrize("rows", [
+        [[0, 1], [0, 2], [1, 0]],  # strictly increasing: no sort needed
+        [[0, 1], [0, 1], [1, 0]],
+        [[0, 2], [0, 1], [1, 0]],
+        [[1, 0], [0, 5], [2, 0]],
+    ])
+    def test_sorted_input_matches_sorted_set(self, rows):
+        c = np.array(rows, dtype=float)
+        b = BallUnion(2, 0.1, c)
+        assert b.centers.tolist() == [list(r) for r in sorted(set(map(tuple, rows)))]
+        assert c.flags.writeable and not np.shares_memory(b.centers, c)
 
     def test_zero_dimension_rejected(self):
         with pytest.raises(InvalidInputError):
