@@ -3,11 +3,13 @@
 Every command reads/writes the JSON schemas of the library types, prints a
 one-line summary, and maps failures onto fixed exit codes:
 0 success, 1 verification/hypothesis failure, 2 invalid input, 3 resource
-cap exceeded.  Structured error names go to stderr.
+cap exceeded.  Structured error names go to stderr.  ``main`` may be called
+many times in one process; all calls share one parser, built on the first.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -161,7 +163,9 @@ def _cmd_verify(args) -> int:
     return 0 if report["all_passed"] else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The shared parser, built on first call; callers must not mutate it."""
     p = argparse.ArgumentParser(prog="synspec",
                                 description="synthetic-spectrum toolkit")
     sub = p.add_subparsers(dest="command", required=True)
@@ -235,9 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

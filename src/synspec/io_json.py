@@ -14,8 +14,8 @@ def _fmt_float(x: float) -> str:
         raise ValueError("NaN is not serializable")
     if x in (float("inf"), float("-inf")):
         raise ValueError("Infinity is not serializable")
-    if x == int(x) and abs(x) < 1e16:
-        # keep e.g. 1.0 readable instead of "1"
+    if x == int(x) and abs(x) < 1e17:
+        # ".17g" prints integral floats < 1e17 without "." or exponent
         return repr(float(x))
     return format(float(x), ".17g")
 

@@ -188,7 +188,8 @@ def _rotate_round(X: np.ndarray, n: int, p: np.ndarray, q: np.ndarray) -> None:
     objective (Cardoso & Souloumiac 1996), the top eigenvector of the
     pair's 3x3 Gram matrix.  A rotation touches only rows and columns p, q,
     so one batched eigh gives every angle, and the round is applied as
-    A <- R A R* on X[:n] and U <- U R* on X[n].
+    A <- R A R* on X[:n] and U <- U R* on X[n].  The sign fix makes x >= 0,
+    so the denominator of s is >= sqrt(2); only |s| < 1e-16 skips a pair.
     """
     A = X[:n]
     apq = A[:, p, q]
@@ -196,9 +197,8 @@ def _rotate_round(X: np.ndarray, n: int, p: np.ndarray, q: np.ndarray) -> None:
                  axis=-1).transpose(1, 0, 2)
     _, V = np.linalg.eigh(h.transpose(0, 2, 1) @ h)
     x, y, z = np.where(V[:, :1, -1] < 0, -V[:, :, -1], V[:, :, -1]).T
-    denom = np.sqrt(2.0 * (x + 1.0))
-    c, s = np.sqrt((x + 1.0) / 2.0), (y - 1j * z) / denom
-    turn = (denom >= 1e-12) & (np.abs(s) >= 1e-16)
+    c, s = np.sqrt((x + 1.0) / 2.0), (y - 1j * z) / np.sqrt(2.0 * (x + 1.0))
+    turn = np.abs(s) >= 1e-16
     p, q, c, s = p[turn], q[turn], c[turn], s[turn]
     ap, aq = A[:, p], A[:, q]
     A[:, p] = c[:, None] * ap + np.conj(s)[:, None] * aq

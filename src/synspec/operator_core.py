@@ -69,7 +69,9 @@ class HermitianMatrix:
             raise InvalidInputError("malformed matrix JSON: %s" % exc)
         if re.shape != (dim, dim) or im.shape != (dim, dim):
             raise InvalidInputError("matrix JSON arrays do not match dim")
-        return cls(re + 1j * im)
+        a = re.astype(complex)
+        a.imag = im  # re + 1j * im would turn an imaginary -0.0 into 0.0
+        return cls(a)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,6 @@
+import argparse
+import contextlib
+import io
 import json
 
 import numpy as np
@@ -207,3 +210,46 @@ class TestVerify:
 
 def test_unknown_command_exit_2():
     assert main(["frobnicate"]) == 2
+
+
+class TestSharedParser:
+    """``main`` reuses one parser; no call may see state left by another."""
+
+    def test_append_option_does_not_leak(self, tmp_path):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert main(["gen", "symbol", "--coeff", "1=0.5", "--out", str(a)]) == 0
+        assert main(["gen", "symbol", "--coeff", "2=0.5", "--out", str(b)]) == 0
+        assert SymbolOperator.from_json(json.loads(a.read_text())).coeffs == {1: 0.5}
+        assert SymbolOperator.from_json(json.loads(b.read_text())).coeffs == {2: 0.5}
+
+    def test_parse_error_then_valid_call(self, tmp_path, capsys):
+        assert main(["sspec", "--input", "x.json", "--eta", "x"]) == 2
+        assert "invalid float value: 'x'" in capsys.readouterr().err
+        out = tmp_path / "t.json"
+        assert main(["gen", "spin-triple", "--j", "1", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == (
+            "gen spin-triple: j=1 dim=3 -> %s\n" % out)
+
+    def test_help_goes_to_current_stdout(self, capsys):
+        assert main(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: synspec")
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert main(["--help"]) == 0
+        assert buf.getvalue().startswith("usage: synspec")
+        assert capsys.readouterr().out == ""
+
+    def test_parser_built_at_most_once(self, tmp_path, monkeypatch):
+        roots = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            if kwargs.get("prog") == "synspec":
+                roots.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        out = tmp_path / "t.json"
+        for _ in range(50):
+            assert main(["gen", "spin-triple", "--j", "1", "--out", str(out)]) == 0
+        assert len(roots) <= 1
