@@ -7,8 +7,6 @@ symbol curve (the unit circle).
 
 Run:  python3 demos/shift_counterexample.py
 """
-import numpy as np
-
 from synspec import (
     SymbolOperator,
     TruncationFamily,

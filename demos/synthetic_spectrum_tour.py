@@ -55,8 +55,8 @@ print("dilated sSp^0.05 inside sSp^0.2: %s"
 
 # S itself is a valid near-spectrum witness for T at eta = 0.1
 rep = near_spectrum_witness(T, S, 0.1)
-print("\nwitness valid: %s (defect %.1e, max distance %.3f)"
-      % (rep.valid, rep.multiplicativity_defect, max(rep.distances)))
+print("\nwitness valid: %s (max distance %.3f)"
+      % (rep.valid, rep.max_distance))
 
 # how far apart are consecutive scales, in Hausdorff distance?
 print("\nHausdorff(sSp^0.1, sSp^0.2) = %.3f"

@@ -95,7 +95,11 @@ def _cmd_sspec(args) -> int:
     T = OperatorTuple.from_json(_load_json(args.input))
     order = None
     if args.order:
-        order = tuple(int(x) for x in args.order.split(","))
+        try:
+            order = tuple(int(x) for x in args.order.split(","))
+        except ValueError:
+            raise InvalidInputError("bad --order %r (expected i,j,...)"
+                                    % args.order)
     region = synthetic_spectrum(T, args.eta, order=order,
                                 grid_cap=args.grid_cap)
     _write(region.to_json(), args.out)

@@ -6,6 +6,8 @@ every float is printed with 17 significant digits.
 """
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
 
@@ -20,20 +22,6 @@ def _fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _escape(s: str) -> str:
-    out = []
-    for ch in s:
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ord(ch) < 0x20:
-            out.append("\\u%04x" % ord(ch))
-        else:
-            out.append(ch)
-    return "".join(out)
-
-
 def dumps_canonical(obj) -> str:
     if obj is None:
         return "null"
@@ -46,7 +34,7 @@ def dumps_canonical(obj) -> str:
     if isinstance(obj, (float, np.floating)):
         return _fmt_float(float(obj))
     if isinstance(obj, str):
-        return '"%s"' % _escape(obj)
+        return json.dumps(obj, ensure_ascii=False)
     if isinstance(obj, np.ndarray):
         return dumps_canonical(obj.tolist())
     if isinstance(obj, (list, tuple)):
@@ -54,7 +42,7 @@ def dumps_canonical(obj) -> str:
     if isinstance(obj, dict):
         items = sorted(obj.items(), key=lambda kv: kv[0])
         return "{%s}" % ", ".join(
-            '"%s": %s' % (_escape(str(k)), dumps_canonical(v)) for k, v in items
+            "%s: %s" % (dumps_canonical(str(k)), dumps_canonical(v)) for k, v in items
         )
     raise TypeError("cannot serialize %r" % type(obj))
 

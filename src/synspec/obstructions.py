@@ -38,6 +38,7 @@ from .synthetic_spectrum import (
 )
 
 CERTIFICATE_GAP_FLOOR = 1e-8
+CIRCLE_SAMPLES = 4096
 
 
 @dataclass(frozen=True)
@@ -80,7 +81,7 @@ def bott_index(H1: HermitianMatrix, H2: HermitianMatrix,
 
 def spin_triple(j: float) -> OperatorTuple:
     """Normalized spin triple (Jx/j, Jy/j, Jz/j) in the (2j+1)-dim rep."""
-    twoj = round(2 * j)
+    twoj = round(2 * j) if math.isfinite(j) else 0
     if abs(2 * j - twoj) > 1e-12 or twoj < 1:
         raise InvalidInputError("j must be a half-integer >= 1/2")
     j = twoj / 2
@@ -103,14 +104,6 @@ class DistanceBoundReport:
     gap: float
     bott_value: int
     caveat: str
-
-    def to_json(self) -> dict:
-        return {
-            "bound": float(self.bound),
-            "gap": float(self.gap),
-            "bott_value": self.bott_value,
-            "caveat": self.caveat,
-        }
 
 
 _GAPLESS_CAVEAT = (
@@ -281,18 +274,17 @@ class IndexCheckReport:
         }
 
 
-def scalar_synthetic_spectrum(op: SymbolOperator, eta: float,
-                              circle_samples: int = 4096) -> tuple:
+def scalar_synthetic_spectrum(op: SymbolOperator, eta: float) -> tuple:
     """Synthetic spectrum of the symbol pair (Re s, Im s) on the circle.
 
     The quotient model is commutative, so the operator norm of the bump
-    product is the sup over the curve, approximated on a dense circle
-    sampling.  Returns (BallUnion, sampling error bound) where the bound
-    is the observed modulus of continuity of the sampled curve.
+    product is the sup over the curve, approximated on CIRCLE_SAMPLES
+    points of the circle.  Returns (BallUnion, sampling error bound) where
+    the bound is the observed modulus of continuity of the sampled curve.
     """
     if not 0 < eta < 1:
         raise InvalidInputError("eta must lie in (0, 1)")
-    t = np.arange(circle_samples) / circle_samples
+    t = np.arange(CIRCLE_SAMPLES) / CIRCLE_SAMPLES
     curve = op.eval(np.exp(2j * math.pi * t))
     a1, a2 = curve.real, curve.imag
     if max(np.abs(a1).max(), np.abs(a2).max()) > 1 + 1e-9:
@@ -317,15 +309,12 @@ def scalar_synthetic_spectrum(op: SymbolOperator, eta: float,
     return region, hop
 
 
-def index_hypothesis_check(op: SymbolOperator, eta: float,
-                           circle_samples: int = 4096,
-                           resolution: float | None = None) -> IndexCheckReport:
+def index_hypothesis_check(op: SymbolOperator, eta: float) -> IndexCheckReport:
     """Test that the winding index vanishes in every hole of the
-    quotient-side synthetic spectrum; a nonzero index in any hole fails."""
-    region, hop = scalar_synthetic_spectrum(op, eta, circle_samples)
-    if resolution is None:
-        resolution = eta / 10
-    topo = region_topology(region, resolution)
+    quotient-side synthetic spectrum, found on a raster of pitch eta/10;
+    a nonzero index in any hole fails."""
+    region, hop = scalar_synthetic_spectrum(op, eta)
+    topo = region_topology(region, eta / 10)
     holes = []
     for hole in topo.holes:
         lam = complex(hole.representative[0], hole.representative[1])

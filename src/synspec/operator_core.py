@@ -7,6 +7,7 @@ deviation from self-adjointness exceeds 1e-12 relative to the entry scale
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -88,8 +89,8 @@ class OperatorTuple:
         dims = {op.dim for op in ops}
         if len(dims) != 1:
             raise InvalidInputError("operators do not share a dimension")
-        if self.norm_bound <= 0:
-            raise InvalidInputError("norm bound must be positive")
+        if not (math.isfinite(self.norm_bound) and self.norm_bound > 0):
+            raise InvalidInputError("norm bound must be finite and positive")
         for op in ops:
             if op_norm(op) > self.norm_bound + 1e-9:
                 raise InvalidInputError(
@@ -247,7 +248,7 @@ def random_almost_commuting(n: int, dim: int, delta: float, seed: int,
     return OperatorTuple(tuple(ops), norm_bound=1.0)
 
 
-def joint_eigensystem(T: OperatorTuple, cluster_tol: float = 1e-8):
+def joint_eigensystem(T: OperatorTuple):
     """Common eigenbasis of an (exactly) commuting tuple.
 
     Returns (U, vals) with U unitary and vals of shape (dim, n):
@@ -269,10 +270,10 @@ def joint_eigensystem(T: OperatorTuple, cluster_tol: float = 1e-8):
             w, V = np.linalg.eigh(sub)
             U[:, blk] = Ub @ V
             vals[blk, j] = w
-            # split the block at eigenvalue gaps
+            # split the block at eigenvalue gaps above 1e-8
             start = 0
             for i in range(1, blk.size):
-                if w[i] - w[i - 1] > cluster_tol:
+                if w[i] - w[i - 1] > 1e-8:
                     new_blocks.append(blk[start:i])
                     start = i
             new_blocks.append(blk[start:])
@@ -280,8 +281,8 @@ def joint_eigensystem(T: OperatorTuple, cluster_tol: float = 1e-8):
     return U, vals
 
 
-def dedupe_points(points: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """Merge points closer than tol (greedy, in lexicographic order)."""
+def dedupe_points(points: np.ndarray) -> np.ndarray:
+    """Merge points closer than 1e-9 (greedy, in lexicographic order)."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
@@ -289,6 +290,6 @@ def dedupe_points(points: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     pts = pts[order]
     kept = []
     for p in pts:
-        if not kept or np.linalg.norm(p - np.asarray(kept), axis=1).min() > tol:
+        if not kept or np.linalg.norm(p - np.asarray(kept), axis=1).min() > 1e-9:
             kept.append(p.tolist())
     return np.asarray(kept)

@@ -51,11 +51,12 @@ class BrickSet:
     def corner_points(self) -> np.ndarray:
         return self.corners / self.k
 
-    def contains_points(self, points: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    def contains_points(self, points: np.ndarray) -> np.ndarray:
+        """Mask of the points within 1e-12 of some brick."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if self.is_empty:
             return np.zeros(pts.shape[0], dtype=bool)
-        cand, valid = _touching_bricks(pts, self.k, tol * self.k)
+        cand, valid = _touching_bricks(pts, self.k, 1e-12 * self.k)
         shape = (2 * self.k,) * self.n
         keys = np.ravel_multi_index(tuple((self.corners + self.k).T), shape)
         flat = np.ravel_multi_index(tuple(np.moveaxis(cand + self.k, -1, 0)),

@@ -34,8 +34,8 @@ class SymbolOperator:
                 cleaned[int(m)] = c
         if not cleaned:
             raise InvalidInputError("symbol needs at least one nonzero coefficient")
-        if sum(abs(c) for c in cleaned.values()) > 2 + 1e-12:
-            raise InvalidInputError("coefficient l1 norm must be <= 2")
+        if not sum(abs(c) for c in cleaned.values()) <= 2 + 1e-12:
+            raise InvalidInputError("coefficients must be finite, l1 norm <= 2")
         object.__setattr__(self, "coeffs", dict(sorted(cleaned.items())))
 
     @property
@@ -88,19 +88,6 @@ class TruncationFamily:
         if 2 * (self.n0 + self.w) + 2 * self.base.bandwidth >= self.N:
             raise InvalidInputError("ramps and band must fit inside the truncation")
 
-    def to_json(self) -> dict:
-        out = self.base.to_json()
-        out.update({"N": self.N, "n0": self.n0, "w": self.w})
-        return out
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "TruncationFamily":
-        base = SymbolOperator.from_json(obj)
-        try:
-            return cls(base, int(obj["N"]), int(obj["n0"]), int(obj["w"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidInputError("malformed truncation-family JSON: %s" % exc)
-
 
 @dataclass(frozen=True)
 class WindingReport:
@@ -109,15 +96,6 @@ class WindingReport:
     index: int
     min_curve_distance: float
     samples: int
-
-    def to_json(self) -> dict:
-        return {
-            "lambda": [self.lam.real, self.lam.imag],
-            "winding": self.winding,
-            "index": self.index,
-            "min_curve_distance": float(self.min_curve_distance),
-            "samples": self.samples,
-        }
 
 
 def symbol_curve(op: SymbolOperator, samples: int) -> np.ndarray:

@@ -175,12 +175,6 @@ class BallUnion:
         d, _ = self.tree.query(pts)
         return np.maximum(0.0, d - self.eta)
 
-    def contains_points(self, points: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-        if self.is_empty:
-            pts = np.atleast_2d(np.asarray(points, dtype=float))
-            return np.zeros(pts.shape[0], dtype=bool)
-        return self.distance_to_points(points) <= tol
-
     def to_json(self) -> dict:
         return {
             "n": self.n,
@@ -356,20 +350,7 @@ class WitnessReport:
     witness: NearSpectrumWitness
     distances: tuple
     max_distance: float
-    multiplicativity_defect: float
-    norm_condition: str
     valid: bool
-
-    def to_json(self) -> dict:
-        return {
-            "eta": float(self.witness.eta),
-            "points": self.witness.points.tolist(),
-            "distances": [float(d) for d in self.distances],
-            "max_distance": float(self.max_distance),
-            "multiplicativity_defect": float(self.multiplicativity_defect),
-            "norm_condition": self.norm_condition,
-            "valid": self.valid,
-        }
 
 
 COMMUTING_TOL = 1e-10
@@ -381,8 +362,9 @@ def near_spectrum_witness(T: OperatorTuple, S: OperatorTuple,
 
     The witness set is the joint spectrum of S.  The induced evaluation map
     is a homomorphism, so the multiplicativity defect is 0 and the lower
-    norm condition holds automatically; the witness is valid iff every
-    coordinate distance ||S_j - T_j|| is below eta.
+    norm condition holds automatically; the report carries neither.  The
+    witness is valid iff every coordinate distance ||S_j - T_j|| is below
+    eta.
     """
     if T.n != S.n or T.dim != S.dim:
         raise InvalidInputError("tuples do not match in shape")
@@ -394,24 +376,17 @@ def near_spectrum_witness(T: OperatorTuple, S: OperatorTuple,
             "witness tuple is not commuting (max commutator %.3e)" % comms.max()
         )
     _, vals = joint_eigensystem(S)
-    points = dedupe_points(vals, tol=1e-9)
+    points = dedupe_points(vals)
     distances = tuple(
         spectral_norm(S.ops[j].entries - T.ops[j].entries) for j in range(T.n)
     )
     max_distance = max(distances)
     witness = NearSpectrumWitness(points, S, eta)
-    return WitnessReport(
-        witness=witness,
-        distances=distances,
-        max_distance=max_distance,
-        multiplicativity_defect=0.0,
-        norm_condition="pass",
-        valid=max_distance < eta,
-    )
+    return WitnessReport(witness=witness, distances=distances,
+                         max_distance=max_distance, valid=max_distance < eta)
 
 
-def _sphere_samples(n: int, radius: float, resolution: float,
-                    rng_seed: int = 0) -> np.ndarray:
+def _sphere_samples(n: int, radius: float, resolution: float) -> np.ndarray:
     """Deterministic samples covering the radius-r sphere at the given pitch."""
     if n == 1:
         return np.array([[-radius], [radius]])
@@ -429,13 +404,13 @@ def _sphere_samples(n: int, radius: float, resolution: float,
     raise UnsupportedDimensionError("boundary sampling supports n <= 3")
 
 
-def containment_check(inner, outer: BallUnion, slack: float,
-                      tol: float = 1e-9) -> bool:
+def containment_check(inner, outer: BallUnion, slack: float) -> bool:
     """True iff every point of ``inner`` lies within ``slack`` of ``outer``.
 
-    ``inner`` is a finite point set or a BallUnion; for a BallUnion the
-    centers are tried first via the sufficient ball-in-ball criterion and
-    only the failures fall back to boundary sampling at pitch eta/20.
+    Distances are compared with 1e-9 of rounding slack on top.  ``inner``
+    is a finite point set or a BallUnion; for a BallUnion the centers are
+    tried first via the sufficient ball-in-ball criterion and only the
+    failures fall back to boundary sampling at pitch eta/20.
     """
     if isinstance(inner, BallUnion):
         if inner.n != outer.n:
@@ -445,14 +420,14 @@ def containment_check(inner, outer: BallUnion, slack: float,
         if outer.is_empty:
             return False
         d, _ = outer.tree.query(inner.centers)
-        easy = d + inner.eta <= outer.eta + slack + tol
+        easy = d + inner.eta <= outer.eta + slack + 1e-9
         if easy.all():
             return True
         hard = inner.centers[~easy]
         shell = _sphere_samples(inner.n, inner.eta, inner.eta / 20)
         for c in hard:
             pts = np.vstack([c[None, :], c[None, :] + shell])
-            if (outer.distance_to_points(pts) > slack + tol).any():
+            if (outer.distance_to_points(pts) > slack + 1e-9).any():
                 return False
         return True
     pts = np.atleast_2d(np.asarray(inner, dtype=float))
@@ -462,4 +437,4 @@ def containment_check(inner, outer: BallUnion, slack: float,
         return True
     if outer.is_empty:
         return False
-    return bool((outer.distance_to_points(pts) <= slack + tol).all())
+    return bool((outer.distance_to_points(pts) <= slack + 1e-9).all())

@@ -296,10 +296,9 @@ def _suite_bricks(trials: int, seed: int) -> dict:
     return rec.report("bricks", trials, seed)
 
 
-def winding_oracle(op: SymbolOperator, lam: complex,
-                   samples: int = 10 ** 4) -> int:
-    """Winding number of the symbol curve around lam from summed angle steps."""
-    v = symbol_curve(op, samples) - lam
+def winding_oracle(op: SymbolOperator, lam: complex) -> int:
+    """Winding of the symbol curve around lam: summed steps over 10^4 samples."""
+    v = symbol_curve(op, 10 ** 4) - lam
     steps = np.angle(np.roll(v, -1) / v)
     return int(round(float(steps.sum()) / (2 * np.pi)))
 

@@ -60,11 +60,11 @@ class TestSspec:
         assert code == 0
         region = json.loads(out.read_text())
         assert region["eta"] == 0.1
-        from synspec import BallUnion, joint_eigensystem
+        from synspec import BallUnion, containment_check, joint_eigensystem
 
         ball = BallUnion.from_json(region)
         _, vals = joint_eigensystem(S)
-        assert ball.contains_points(vals).all()
+        assert containment_check(vals, ball, 0.0)
 
     def test_missing_file(self, capsys):
         assert main(["sspec", "--input", "/nope.json", "--eta", "0.1"]) == 2
@@ -130,6 +130,35 @@ class TestGeometryCommands:
                   "holes": ["--input", str(path)]}[command]
         assert main([command, *inputs, "--resolution", "0.01"]) == 2
         assert "invalid-input" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sspec", "--input", "{T}", "--eta", "0.2", "--order", "x"],
+    ["sspec", "--input", "{T}", "--eta", "0.2", "--order", "0,1,"],
+    ["sspec", "--input", "{nan_M}", "--eta", "0.2"],
+    ["sspec", "--input", "{inf_M}", "--eta", "0.2"],
+    ["approx", "--input", "{nan_M}"],
+    ["approx", "--input", "{inf_M}"],
+    ["gen", "spin-triple", "--j", "nan", "--out", "{out}"],
+    ["gen", "spin-triple", "--j", "inf", "--out", "{out}"],
+    ["gen", "symbol", "--coeff", "1=nan", "--out", "{out}"],
+    ["gen", "symbol", "--coeff", "1=0,nan", "--out", "{out}"],
+    ["index-check", "--symbol", "{nan_symbol}", "--eta", "0.1"],
+], ids=["order-x", "order-trailing-comma", "sspec-M-nan", "sspec-M-inf",
+        "approx-M-nan", "approx-M-inf", "spin-j-nan", "spin-j-inf",
+        "coeff-re-nan", "coeff-im-nan", "index-check-nan"])
+def test_bad_input_exit_2(tmp_path, capsys, argv):
+    T = random_almost_commuting(2, 4, 1e-2, 0).to_json()
+    paths = {"out": tmp_path / "out.json"}
+    for name, obj in (("T", T), ("nan_M", dict(T, M=float("nan"))),
+                      ("inf_M", dict(T, M=float("inf"))),
+                      ("nan_symbol", {"coeffs": {"1": [float("nan"), 0.0]}})):
+        paths[name] = tmp_path / (name + ".json")
+        paths[name].write_text(json.dumps(obj))  # json writes NaN and Infinity
+    assert main([a.format(**paths) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert "invalid-input" in captured.err and captured.out == ""
+    assert not paths["out"].exists()
 
 
 class TestIndexCheck:

@@ -1,0 +1,19 @@
+"""Every script under ``demos/`` runs to completion."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")),
+                         ids=lambda path: path.stem)
+def test_demo_exits_0(demo, tmp_path):
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr

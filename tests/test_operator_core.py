@@ -209,5 +209,5 @@ class TestJointEigensystem:
 
 def test_dedupe_points():
     pts = np.array([[0.0, 0.0], [0.0, 1e-12], [1.0, 1.0]])
-    out = dedupe_points(pts, tol=1e-9)
+    out = dedupe_points(pts)
     assert out.shape == (2, 2)

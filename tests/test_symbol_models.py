@@ -131,12 +131,6 @@ class TestRampAndFamily:
         with pytest.raises(InvalidInputError):
             TruncationFamily(SymbolOperator.shift(), 40, 10, 10)
 
-    def test_family_json_roundtrip(self):
-        fam = TruncationFamily(SymbolOperator.shift(), 100, 10, 10)
-        back = TruncationFamily.from_json(fam.to_json())
-        assert (back.N, back.n0, back.w) == (100, 10, 10)
-        assert back.base.coeffs == fam.base.coeffs
-
 
 class TestQuasicentralFamily:
     def test_ramp_commutator_exact(self):

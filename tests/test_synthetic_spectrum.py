@@ -16,6 +16,7 @@ from synspec import (
     OperatorTuple,
     PiecewiseLinearFn,
     ResourceLimitError,
+    UnsupportedDimensionError,
     big_theta_norm,
     containment_check,
     dilate,
@@ -193,7 +194,7 @@ class TestBigThetaNorm:
 
 class TestSyntheticSpectrum:
     def contains(self, region, point):
-        return bool(region.contains_points(np.atleast_2d(point))[0])
+        return containment_check(np.atleast_2d(point), region, 0.0)
 
     def test_commuting_diag_pair(self):
         d = herm(np.diag([0.0, 1.0]))
@@ -357,7 +358,6 @@ class TestWitness:
         rep = near_spectrum_witness(S, S, 0.1)
         assert rep.valid
         assert rep.max_distance == 0.0
-        assert rep.multiplicativity_defect == 0.0
         _, vals = np.unique(rep.witness.points, axis=0), None
         assert rep.witness.points.shape[1] == 2
 
@@ -406,13 +406,25 @@ class TestContainment:
         assert containment_check(np.array([[0.05, 0.05]]), b, 0.0)
         assert not containment_check(np.array([[0.5, 0.0]]), b, 0.1)
 
-    def test_boundary_sampling_path(self):
-        # inner ball pokes out beyond the easy ball-in-ball criterion but
-        # stays within the slack
-        a = BallUnion(2, 0.2, np.array([[0.0, 0.0]]))
-        b = BallUnion(2, 0.1, np.array([[0.0, 0.0]]))
-        assert containment_check(a, b, 0.1)
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_boundary_sampling_path(self, n):
+        a = BallUnion(n, 0.2, np.zeros((1, n)))
+        b = BallUnion(n, 0.1, np.zeros((1, n)))
+        assert containment_check(a, b, 0.1)  # ball in ball
+        # the inner sphere lies 0.1 outside b: boundary samples say so
         assert not containment_check(a, b, 0.05)
+        # no single outer ball holds the inner one, but the 2n balls at
+        # +-0.05 along the axes cover it: boundary samples say so
+        inner = BallUnion(n, 0.1, np.zeros((1, n)))
+        axes = 0.05 * np.eye(n)
+        outer = BallUnion(n, 0.1, np.vstack([axes, -axes]))
+        assert containment_check(inner, outer, 0.0)
+
+    def test_boundary_sampling_needs_n_le_3(self):
+        a = BallUnion(4, 0.2, np.zeros((1, 4)))
+        b = BallUnion(4, 0.1, np.zeros((1, 4)))
+        with pytest.raises(UnsupportedDimensionError):
+            containment_check(a, b, 0.05)
 
 
 class TestSpectralProperties:
