@@ -189,7 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
     gy = gsub.add_parser("symbol")
     gy.add_argument("--shift", action="store_true")
     gy.add_argument("--coeff", action="append",
-                    help="m=re[,im]; repeatable")
+                    help="m=re[,im]; repeatable; a negative power m is "
+                         "written --coeff=-1=0.5")
     gy.add_argument("--out", required=True)
     g.set_defaults(fn=_cmd_gen)
 

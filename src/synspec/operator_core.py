@@ -1,4 +1,4 @@
-"""Hermitian matrices, spectral functional calculus, and tuple generators.
+"""Hermitian matrices, norms and commutators, and tuple generators.
 
 The ambient operator model is a dense complex self-adjoint matrix.  Inputs
 are symmetrized as (A + A*)/2 on ingestion and rejected only when the
@@ -124,40 +124,6 @@ class OperatorTuple:
         return cls(ops, M)
 
 
-@dataclass(frozen=True)
-class PiecewiseLinearFn:
-    """Piecewise linear function given by breakpoints, constant outside."""
-
-    xs: np.ndarray
-    ys: np.ndarray
-
-    def __post_init__(self):
-        xs = np.asarray(self.xs, dtype=float)
-        ys = np.asarray(self.ys, dtype=float)
-        if xs.ndim != 1 or xs.shape != ys.shape or xs.size < 1:
-            raise InvalidInputError("breakpoints must be matching 1-d arrays")
-        if xs.size > 1 and not np.all(np.diff(xs) > 0):
-            raise InvalidInputError("abscissas must be strictly increasing")
-        object.__setattr__(self, "xs", _as_readonly(xs))
-        object.__setattr__(self, "ys", _as_readonly(ys))
-
-    def __call__(self, t):
-        return np.interp(t, self.xs, self.ys)
-
-    @classmethod
-    def bump(cls, center: float, eta: float) -> "PiecewiseLinearFn":
-        """Unit plateau of half-width 3*eta/4 with linear ramps down to eta."""
-        if eta <= 0:
-            raise InvalidInputError("eta must be positive")
-        xs = np.array([
-            center - eta,
-            center - 0.75 * eta,
-            center + 0.75 * eta,
-            center + eta,
-        ])
-        return cls(xs, np.array([0.0, 1.0, 1.0, 0.0]))
-
-
 def spectral_norm(a: np.ndarray) -> float:
     """Largest singular value of an arbitrary dense matrix."""
     if a.size == 0:
@@ -186,14 +152,6 @@ def pairwise_commutator_norms(T: OperatorTuple) -> np.ndarray:
         for j in range(i + 1, T.n):
             out.append(commutator_norm(T.ops[i], T.ops[j]))
     return np.asarray(out)
-
-
-def func_calc(A: HermitianMatrix, f: PiecewiseLinearFn) -> HermitianMatrix:
-    """Spectral functional calculus: U f(L) U* for A = U L U*."""
-    w, U = A.eigh
-    fw = f(w)
-    out = (U * fw) @ U.conj().T
-    return HermitianMatrix((out + out.conj().T) / 2)
 
 
 def _random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

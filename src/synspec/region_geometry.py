@@ -74,6 +74,8 @@ class BrickSet:
             corners = np.asarray(obj["corners"], dtype=float).reshape(-1, n)
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInputError("malformed brick-set JSON: %s" % exc)
+        if not np.isfinite(corners).all():
+            raise InvalidInputError("corners must be finite")
         lat = corners * k
         if lat.size and np.abs(lat - np.round(lat)).max() > 1e-9:
             raise InvalidInputError("corners are off the 1/k lattice")

@@ -30,10 +30,9 @@ from .errors import (
     UnsupportedDimensionError,
 )
 from .operator_core import (
+    HermitianMatrix,
     OperatorTuple,
-    PiecewiseLinearFn,
     dedupe_points,
-    func_calc,
     joint_eigensystem,
     pairwise_commutator_norms,
     spectral_norm,
@@ -121,9 +120,9 @@ def unique_rows(a: np.ndarray) -> np.ndarray:
     return a[(np.diff(a, axis=0, prepend=np.nan) != 0).any(axis=1)]
 
 
-def grid_points(spec: GridSpec, cap: int = DEFAULT_GRID_CAP) -> np.ndarray:
+def grid_points(spec: GridSpec) -> np.ndarray:
     """All lattice points of the spec, in lexicographic order."""
-    _check_cap(spec.point_count, cap)
+    _check_cap(spec.point_count)
     c = spec.axis_coords()
     grids = np.meshgrid(*([c] * spec.n), indexing="ij")
     return np.stack(grids, axis=-1).reshape(-1, spec.n)
@@ -200,20 +199,36 @@ def bump_weights(coords: np.ndarray, eigvals: np.ndarray, eta: float) -> np.ndar
     return np.clip((eta - d) * (4.0 / eta), 0.0, 1.0)
 
 
+def _axis_order(order: tuple | None, n: int) -> tuple:
+    """``order``, or the identity when it is None; it must permute the axes."""
+    idx = tuple(order) if order is not None else tuple(range(n))
+    if sorted(idx) != list(range(n)):
+        raise InvalidInputError("order must be a permutation of the axes")
+    return idx
+
+
+def _bump_matrix(A: HermitianMatrix, c: float, eta: float) -> np.ndarray:
+    """theta_{c,eta}(A) = U theta(L) U*, from A's cached A = U L U*."""
+    w, U = A.eigh
+    xs = [c - eta, c - 0.75 * eta, c + 0.75 * eta, c + eta]
+    out = (U * np.interp(w, xs, [0.0, 1.0, 1.0, 0.0])) @ U.conj().T
+    return (out + out.conj().T) / 2
+
+
 def big_theta_norm(T: OperatorTuple, xi, eta: float,
                    order: tuple | None = None) -> float:
     """Norm of the ordered bump product theta(T_1) theta(T_2) ... theta(T_n)."""
+    if not eta > 0:
+        raise InvalidInputError("eta must be positive")
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     if xi.size != T.n:
         raise InvalidInputError("point dimension does not match the tuple")
     lim = T.norm_bound + eta
     if np.abs(xi).max() > lim + 1e-12:
         raise InvalidInputError("point lies outside [-M-eta, M+eta]^n")
-    idx = list(order) if order is not None else list(range(T.n))
     prod = None
-    for i in idx:
-        f = PiecewiseLinearFn.bump(float(xi[i]), eta)
-        m = func_calc(T.ops[i], f).entries
+    for i in _axis_order(order, T.n):
+        m = _bump_matrix(T.ops[i], float(xi[i]), eta)
         prod = m if prod is None else prod @ m
     return spectral_norm(prod)
 
@@ -228,14 +243,10 @@ def synthetic_spectrum(T: OperatorTuple, eta: float, *,
     threshold; pruning never changes the result, as
     ``verify.matches_pointwise_oracle`` checks against ``big_theta_norm``.
     """
-    if not 0 < eta < 1:
-        raise InvalidInputError("eta must lie in (0, 1)")
     spec = GridSpec.create(T.n, T.norm_bound, eta)
     _check_cap(spec.point_count, grid_cap)
     coords = spec.axis_coords()
-    idx = tuple(order) if order is not None else tuple(range(T.n))
-    if sorted(idx) != list(range(T.n)):
-        raise InvalidInputError("order must be a permutation of the axes")
+    idx = _axis_order(order, T.n)
     eigs = [np.linalg.eigh(T.ops[i].entries) for i in idx]
     W = [bump_weights(coords, w, eta) for w, _ in eigs]
     centers = _pruned_sweep(coords, eigs, W, (1.0 - eta) - BORDERLINE_TOL)

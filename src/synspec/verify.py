@@ -98,7 +98,7 @@ def _suite_containment(trials: int, seed: int) -> dict:
         rng = _sub_rng(seed, "mono", t)
         n, dim = _random_tuple_params(rng)
         T = random_almost_commuting(n, dim, 1e-2, _sub_seed(seed, "mono", t))
-        small = synthetic_spectrum(T, 0.1, grid_cap=2 ** 26)
+        small = synthetic_spectrum(T, 0.1)
         big = synthetic_spectrum(T, 0.2)
         if not containment_check(small, big, 0.0):
             bad.append({"trial": t, "n": n, "dim": dim})
@@ -112,7 +112,7 @@ def _suite_containment(trials: int, seed: int) -> dict:
         n = int(rng.integers(1, 3))
         dim = int(rng.integers(2, 17))
         T = random_almost_commuting(n, dim, 1e-2, _sub_seed(seed, "dilate", t))
-        inner = dilate(synthetic_spectrum(T, 0.05, grid_cap=2 ** 26), 0.05)
+        inner = dilate(synthetic_spectrum(T, 0.05), 0.05)
         outer = synthetic_spectrum(T, 0.2)
         if not containment_check(inner, outer, 0.0):
             bad.append({"trial": t, "n": n, "dim": dim})
@@ -218,7 +218,7 @@ def _suite_uniqueness(trials: int, seed: int) -> dict:
         rng = _sub_rng(seed, "nonempty", t)
         n, dim = _random_tuple_params(rng)
         T = random_almost_commuting(n, dim, 1e-3, _sub_seed(seed, "nonempty", t))
-        if synthetic_spectrum(T, eta, grid_cap=2 ** 26).is_empty:
+        if synthetic_spectrum(T, eta).is_empty:
             bad.append({"trial": t, "n": n, "dim": dim})
     rec.failures("nonemptiness", bad)
 

@@ -43,6 +43,13 @@ class TestGen:
         op = SymbolOperator.from_json(json.loads(out.read_text()))
         assert op.coeffs[-1] == 0.25 + 0.1j
 
+    def test_gen_symbol_negative_power(self, tmp_path):
+        out = tmp_path / "s.json"
+        assert main(["gen", "symbol", "--coeff=-1=0.5", "--coeff=1=0.5",
+                     "--out", str(out)]) == 0
+        assert json.loads(out.read_text()) == {
+            "coeffs": {"-1": [0.5, 0.0], "1": [0.5, 0.0]}}
+
     def test_gen_symbol_bad_coeff(self, tmp_path):
         code = main(["gen", "symbol", "--coeff", "nope", "--out",
                      str(tmp_path / "s.json")])
@@ -130,6 +137,14 @@ class TestGeometryCommands:
                   "holes": ["--input", str(path)]}[command]
         assert main([command, *inputs, "--resolution", "0.01"]) == 2
         assert "invalid-input" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("corner", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_brick_corner_exit_2(self, tmp_path, capsys, corner):
+        path = tmp_path / "bricks.json"
+        path.write_text('{"n": 2, "k": 10, "corners": [[%s, 0.0]]}' % corner)
+        assert main(["holes", "--input", str(path), "--resolution", "0.01"]) == 2
+        assert "corners must be finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

@@ -5,10 +5,8 @@ from synspec import (
     HermitianMatrix,
     InvalidInputError,
     OperatorTuple,
-    PiecewiseLinearFn,
     commutator_norm,
     dedupe_points,
-    func_calc,
     joint_eigensystem,
     op_norm,
     pairwise_commutator_norms,
@@ -16,6 +14,7 @@ from synspec import (
     random_hermitian,
     spectral_norm,
 )
+from synspec.synthetic_spectrum import _bump_matrix
 
 
 def herm(a):
@@ -124,36 +123,22 @@ class TestFuncCalc:
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh",
                             lambda x: calls.append(x) or eigh(x))
-        f = PiecewiseLinearFn.bump(0.1, 0.3)
-        first, second = func_calc(a, f), func_calc(a, f)
+        first, second = _bump_matrix(a, 0.1, 0.3), _bump_matrix(a, 0.1, 0.3)
         assert len(calls) == 1
-        assert np.array_equal(first.entries, second.entries)
+        assert np.array_equal(first, second)
         assert np.array_equal(a.eigh[0], w) and np.array_equal(a.eigh[1], U)
         with pytest.raises(ValueError):
             a.eigh[1][0, 0] = 0.0
 
-    def test_identity_function(self):
-        rng = np.random.default_rng(3)
-        a = random_hermitian(6, rng)
-        out = func_calc(a, PiecewiseLinearFn(np.array([-2.0, 2.0]),
-                                       np.array([-2.0, 2.0])))
-        assert np.abs(out.entries - a.entries).max() < 1e-10
-
-    def test_constant_function(self):
-        a = herm(np.diag([0.3, -0.7]))
-        out = func_calc(a, PiecewiseLinearFn(np.array([0.0]), np.array([1.0])))
-        assert np.allclose(out.entries, np.eye(2))
-
     def test_bump_on_diagonal(self):
         # theta_{0,0.1}: 1 at 0.05 (inside the plateau), 0 at 0.2 (outside)
         a = herm(np.diag([0.05, 0.2]))
-        out = func_calc(a, PiecewiseLinearFn.bump(0.0, 0.1))
-        assert np.allclose(out.entries, np.diag([1.0, 0.0]), atol=1e-12)
+        out = _bump_matrix(a, 0.0, 0.1)
+        assert np.allclose(out, np.diag([1.0, 0.0]), atol=1e-12)
 
     def test_commutes_with_commuting_partner(self):
-        rng = np.random.default_rng(5)
         S = random_almost_commuting(2, 8, 0.3, 9, exact=True)
-        fa = func_calc(S.ops[0], PiecewiseLinearFn.bump(0.2, 0.3))
+        fa = herm(_bump_matrix(S.ops[0], 0.2, 0.3))
         assert commutator_norm(fa, S.ops[1]) < 1e-8
 
 

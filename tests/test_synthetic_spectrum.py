@@ -14,13 +14,11 @@ from synspec import (
     InvalidInputError,
     InvalidWitnessError,
     OperatorTuple,
-    PiecewiseLinearFn,
     ResourceLimitError,
     UnsupportedDimensionError,
     big_theta_norm,
     containment_check,
     dilate,
-    func_calc,
     grid_points,
     hausdorff_distance,
     near_spectrum_witness,
@@ -98,7 +96,7 @@ class TestGridSpec:
     def test_grid_cap(self):
         spec = GridSpec.create(3, 1.0, 0.05)
         with pytest.raises(ResourceLimitError):
-            grid_points(spec, cap=2 ** 10)
+            grid_points(spec)
 
     def test_lexicographic_order(self):
         spec = GridSpec.create(2, 1.0, 0.9)
@@ -191,6 +189,18 @@ class TestBigThetaNorm:
         with pytest.raises(InvalidInputError):
             big_theta_norm(T, [2.0], 0.1)
 
+    @pytest.mark.parametrize("eta", [0.0, -0.1, float("nan")])
+    def test_bad_eta_rejected(self, eta):
+        T = OperatorTuple((herm(np.diag([0.0, 1.0])),))
+        with pytest.raises(InvalidInputError, match="eta must be positive"):
+            big_theta_norm(T, [0.0], eta)
+
+    @pytest.mark.parametrize("order", [(0, 0), (0,), (1, 1), (0, 1, 1)])
+    def test_bad_order_rejected(self, order):
+        T = random_almost_commuting(2, 4, 1e-2, 0)
+        with pytest.raises(InvalidInputError, match="permutation"):
+            big_theta_norm(T, [0.0, 0.0], 0.2, order=order)
+
 
 class TestSyntheticSpectrum:
     def contains(self, region, point):
@@ -253,8 +263,8 @@ class TestSyntheticSpectrum:
         T, eta = scaled(random_almost_commuting(3, 4, 1e-2, 0), 0.3), 0.2
         thresh = (1.0 - eta) - sweep_module.BORDERLINE_TOL
         coords = GridSpec.create(3, 0.3, eta).axis_coords()
-        cand = [[b for b in (func_calc(op, PiecewiseLinearFn.bump(c, eta)).entries
-                             for c in coords) if spectral_norm(b) >= thresh]
+        cand = [[b for b in (sweep_module._bump_matrix(op, c, eta) for c in coords)
+                 if spectral_norm(b) >= thresh]
                 for op in T.ops]
         prefixes, want = cand[0], []
         for axis in (1, 2):
