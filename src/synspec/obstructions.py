@@ -29,7 +29,7 @@ from .operator_core import (
     spectral_norm,
 )
 from .region_geometry import region_topology
-from .symbol_models import SymbolOperator, fredholm_index
+from .symbol_models import SymbolOperator, _circle, fredholm_index
 from .synthetic_spectrum import (
     BORDERLINE_TOL,
     BallUnion,
@@ -284,8 +284,7 @@ def scalar_synthetic_spectrum(op: SymbolOperator, eta: float) -> tuple:
     """
     if not 0 < eta < 1:
         raise InvalidInputError("eta must lie in (0, 1)")
-    t = np.arange(CIRCLE_SAMPLES) / CIRCLE_SAMPLES
-    curve = op.eval(np.exp(2j * math.pi * t))
+    curve = op.eval(_circle(CIRCLE_SAMPLES))
     a1, a2 = curve.real, curve.imag
     if max(np.abs(a1).max(), np.abs(a2).max()) > 1 + 1e-9:
         raise InvalidInputError(
@@ -294,17 +293,18 @@ def scalar_synthetic_spectrum(op: SymbolOperator, eta: float) -> tuple:
     spec = GridSpec.create(2, 1.0, eta)
     coords = spec.axis_coords()
     w1 = bump_weights(coords, a1, eta)
-    w2 = bump_weights(coords, a2, eta)
+    # one row per circle sample, so a sample's weights are one row gather
+    w2 = np.ascontiguousarray(bump_weights(coords, a2, eta).T)
     thresh = (1.0 - eta) - BORDERLINE_TOL
-    centers = []
+    hits = []
     for i1 in range(coords.size):
-        row = w1[i1]
-        if row.max() < thresh:
-            continue
-        vals = (w2 * row[None, :]).max(axis=1)
-        for i2 in np.nonzero(vals >= thresh)[0]:
-            centers.append((coords[i1], coords[i2]))
-    region = BallUnion(2, eta, np.asarray(centers).reshape(-1, 2), spec)
+        # fl(w1 * w2) <= w1, so only samples where w1 reaches thresh can score
+        cols = np.nonzero(w1[i1] >= thresh)[0]
+        vals = (w2[cols] * w1[i1, cols, None]).max(axis=0, initial=0.0)
+        hits.append(np.nonzero(vals >= thresh)[0])
+    i1 = np.repeat(np.arange(coords.size), [h.size for h in hits])
+    centers = np.stack([coords[i1], coords[np.concatenate(hits)]], axis=1)
+    region = BallUnion(2, eta, centers, spec)
     hop = float(np.abs(np.diff(np.append(curve, curve[0]))).max())
     return region, hop
 

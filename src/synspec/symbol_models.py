@@ -8,6 +8,7 @@ quasicentral counterexample pair.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -18,6 +19,9 @@ from .errors import (InvalidInputError, PointOnEssentialSpectrumError,
 from .operator_core import HermitianMatrix, commutator_norm, spectral_norm
 
 MAX_WINDING_SAMPLES = 2 ** 20
+# exp(2 pi i j/size), j < size: the finest circle table built so far
+_CIRCLE_TABLE = np.ones(1, dtype=complex)
+_CIRCLE_TABLE.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -50,7 +54,10 @@ class SymbolOperator:
         z = np.asarray(z, dtype=complex)
         out = np.zeros_like(z)
         for m, c in self.coeffs.items():
-            out = out + c * z ** m
+            # ``c * z ** m`` lets numpy reuse the buffer of a power of 16384
+            # or more points as ``z ** m * c``, which rounds differently; a
+            # point's value must not depend on how many share the call
+            out = out + np.multiply(c, z ** m)
         return out
 
     @classmethod
@@ -106,29 +113,58 @@ def symbol_curve(op: SymbolOperator, samples: int) -> np.ndarray:
     return op.eval(np.exp(2j * math.pi * t))
 
 
+def _circle(N: int) -> np.ndarray:
+    """exp(2 pi i j/N), j = 0..N-1, as a read-only view of the shared table.
+
+    The table is rebuilt at size N only when N does not divide its size.
+    A view equals a direct build bit for bit: j/N and (j*s)/(N*s) are the
+    same rational number, so they round to the same float.
+    """
+    global _CIRCLE_TABLE
+    table = _CIRCLE_TABLE  # one read, so a concurrent rebuild cannot split it
+    if table.size % N:
+        table = np.exp(2j * math.pi * (np.arange(N) / N))
+        table.flags.writeable = False
+        _CIRCLE_TABLE = table
+    return table[::table.size // N]
+
+
 def fredholm_index(op: SymbolOperator, lam: complex) -> WindingReport:
     """Winding of the symbol around lam; index = -winding.
 
     Sampling is refined (doubled) until every angular step is below pi/2.
+    Each doubling evaluates the symbol only at the new odd samples and
+    interleaves them with the ones it has.  The roots of unity are views
+    of one shared table of at most MAX_WINDING_SAMPLES complex entries
+    (16 MiB); a starting count that is not a power of two can pass the
+    cap on its last doubling, so its table stays below twice that.
     Raises ResourceLimitError if the steps are still too large at
     MAX_WINDING_SAMPLES (2^20) samples, rather than guess a winding.
     """
     lam = complex(lam)
+    if not cmath.isfinite(lam):
+        raise InvalidInputError("lambda must be finite")
     samples = max(256, 8 * op.bandwidth)
+    v = op.eval(_circle(samples)) - lam
+    mind = float(np.abs(v).min())
     while True:
-        v = symbol_curve(op, samples) - lam
-        mind = float(np.abs(v).min())
         if mind <= 1e-6:
             raise PointOnEssentialSpectrumError(
                 "lambda is within 1e-6 of the symbol curve"
             )
-        steps = np.angle(np.roll(v, -1) / v)
-        if np.abs(steps).max() < math.pi / 2:
-            break
+        # Re(ratio) > 0 is |angle| < pi/2; np.angle only confirms a pass
+        ratio = np.concatenate((v[1:], v[:1])) / v
+        if (ratio.real > 0).all():
+            steps = np.angle(ratio)
+            if np.abs(steps).max() < math.pi / 2:
+                break
         if samples >= MAX_WINDING_SAMPLES:
             raise ResourceLimitError("winding steps still exceed pi/2 at %d "
                                      "samples" % samples)
         samples *= 2
+        odd = op.eval(_circle(samples)[1::2]) - lam
+        mind = min(mind, float(np.abs(odd).min()))
+        v = np.column_stack((v, odd)).reshape(-1)
     winding = int(round(float(steps.sum()) / (2 * math.pi)))
     return WindingReport(lam=lam, winding=winding, index=-winding,
                          min_curve_distance=mind, samples=samples)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -201,8 +202,13 @@ def bump_weights(coords: np.ndarray, eigvals: np.ndarray, eta: float) -> np.ndar
 
 def _axis_order(order: tuple | None, n: int) -> tuple:
     """``order``, or the identity when it is None; it must permute the axes."""
-    idx = tuple(order) if order is not None else tuple(range(n))
-    if sorted(idx) != list(range(n)):
+    if order is None:
+        return tuple(range(n))
+    try:
+        idx = tuple(operator.index(i) for i in order)
+    except TypeError:
+        idx = None
+    if idx is None or sorted(idx) != list(range(n)):
         raise InvalidInputError("order must be a permutation of the axes")
     return idx
 

@@ -24,6 +24,7 @@ from synspec import (
     spin_triple,
 )
 from synspec.obstructions import _rotate_round, _round_robin
+from synspec.synthetic_spectrum import BORDERLINE_TOL, GridSpec, bump_weights
 
 
 def herm(a):
@@ -308,6 +309,32 @@ class TestIndexHypothesisCheck:
         pts = np.stack([t.real, t.imag], axis=1)
         assert containment_check(pts, region, 0.0)
         assert err < 0.01
+
+    @pytest.mark.parametrize("coeffs", [
+        {1: 1.0},
+        {2: 1.0},
+        {-1: 0.5, 1: 0.5},
+        {-1: 0.3 + 0.2j, 1: 0.35, 2: 0.1j},
+        {-3: 0.2 - 0.15j, 0: 0.1 + 0.05j, 5: 0.4j},
+    ])
+    def test_scalar_spectrum_matches_dense_rows(self, coeffs):
+        # the dense loop scores every circle sample in every grid row
+        op = SymbolOperator(coeffs)
+        t = np.arange(4096) / 4096
+        curve = op.eval(np.exp(2j * np.pi * t))
+        for eta in (0.05, 0.1, 0.2, 0.3, 0.5, 0.9):
+            coords = GridSpec.create(2, 1.0, eta).axis_coords()
+            w1 = bump_weights(coords, curve.real, eta)
+            w2 = bump_weights(coords, curve.imag, eta)
+            thresh = (1.0 - eta) - BORDERLINE_TOL
+            centers = [(coords[i1], coords[i2])
+                       for i1 in range(coords.size)
+                       for i2 in np.nonzero((w2 * w1[i1]).max(axis=1)
+                                            >= thresh)[0]]
+            region, hop = scalar_synthetic_spectrum(op, eta)
+            assert np.array_equal(region.centers,
+                                  np.asarray(centers).reshape(-1, 2))
+            assert hop == float(np.abs(np.diff(np.append(curve, curve[0]))).max())
 
     def test_oversized_symbol_rejected(self):
         op = SymbolOperator({0: 1.5})

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from synspec import (
     HermitianMatrix,
@@ -15,7 +19,60 @@ from synspec import (
     ramp_diagonal,
     symbol_curve,
 )
+from synspec.symbol_models import MAX_WINDING_SAMPLES, _circle
 from synspec.verify import winding_oracle
+
+
+def doubling_reference(op, lam):
+    """fredholm_index's earlier loop: every level sampled afresh by
+    symbol_curve, with the step test on np.angle alone."""
+    lam = complex(lam)
+    samples = max(256, 8 * op.bandwidth)
+    while True:
+        v = symbol_curve(op, samples) - lam
+        mind = float(np.abs(v).min())
+        if mind <= 1e-6:
+            raise PointOnEssentialSpectrumError("on the curve")
+        steps = np.angle(np.roll(v, -1) / v)
+        if np.abs(steps).max() < math.pi / 2:
+            break
+        if samples >= MAX_WINDING_SAMPLES:
+            raise ResourceLimitError("cap")
+        samples *= 2
+    winding = int(round(float(steps.sum()) / (2 * math.pi)))
+    return winding, samples, mind.hex()
+
+
+def report_fields(op, lam):
+    rep = fredholm_index(op, lam)
+    return rep.winding, rep.samples, rep.min_curve_distance.hex()
+
+
+def outcome(fn, op, lam):
+    """(winding, samples, min distance as float hex), or the exception type."""
+    try:
+        return fn(op, lam)
+    except (PointOnEssentialSpectrumError, ResourceLimitError) as exc:
+        return type(exc)
+
+
+@st.composite
+def symbol_and_point(draw):
+    """A symbol of bandwidth 1-40 and a point 1e-5 to 1 away from its curve."""
+    bw = draw(st.integers(1, 40))
+    powers = draw(st.lists(st.integers(-bw, bw), max_size=3))
+    powers = sorted(set(powers) | {draw(st.sampled_from([-bw, bw]))})
+    unit = st.floats(-1, 1)
+    coeffs = [complex(draw(unit), draw(unit)) for _ in powers]
+    total = sum(abs(c) for c in coeffs)
+    if total == 0:
+        coeffs, total = [1.0] * len(powers), len(powers)
+    scale = draw(st.floats(0.2, 1.0)) / total
+    op = SymbolOperator({m: c * scale for m, c in zip(powers, coeffs)})
+    z = np.exp(2j * np.pi * draw(st.floats(0, 1)))
+    on_curve = sum(c * z ** m for m, c in op.coeffs.items())
+    dist = 10.0 ** draw(st.floats(-5, 0))
+    return op, on_curve + dist * np.exp(2j * np.pi * draw(st.floats(0, 1)))
 
 
 class TestSymbolOperator:
@@ -35,6 +92,12 @@ class TestSymbolOperator:
     def test_eval(self):
         op = SymbolOperator({1: 1.0, 2: 0.5})
         assert op.eval(1.0) == pytest.approx(1.5)
+
+    def test_eval_independent_of_call_size(self):
+        # 2^15 points are past the size where numpy reuses temporaries
+        op = SymbolOperator({-3: 0.2 - 0.15j, 1: 0.3 + 0.25j, 4: 0.1 + 0.2j})
+        z = np.exp(2j * np.pi * (np.arange(2 ** 15) / 2 ** 15))
+        assert np.array_equal(op.eval(z)[::4], op.eval(z[::4]))
 
     def test_json_roundtrip(self):
         op = SymbolOperator({-1: 0.25 + 0.5j, 2: 0.75})
@@ -101,6 +164,31 @@ class TestFredholmIndex:
     def test_index_matches_winding_sign(self):
         rep = fredholm_index(SymbolOperator.shift(), 0.1 + 0.1j)
         assert rep.index == -rep.winding
+
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf"),
+                                     complex(0.1, float("nan"))])
+    def test_non_finite_lambda_rejected(self, lam):
+        with pytest.raises(InvalidInputError, match="finite"):
+            fredholm_index(SymbolOperator.shift(), lam)
+
+    @settings(deadline=None, derandomize=True, max_examples=30)
+    @given(st.lists(symbol_and_point(), min_size=2, max_size=3))
+    def test_refinement_matches_doubling_reference(self, cases):
+        # calls interleave across base sizes, so the circle table is
+        # rebuilt between them whenever a base does not divide its size
+        for op, lam in cases:
+            assert (outcome(report_fields, op, lam)
+                    == outcome(doubling_reference, op, lam))
+
+    @pytest.mark.parametrize("sizes", [(256, 4096, 1024), (320, 640, 256),
+                                       (2 ** 16, 8, 24, 3)])
+    def test_circle_table_views(self, sizes):
+        for N in sizes:
+            view = _circle(N)
+            direct = np.exp(2j * np.pi * (np.arange(N) / N))
+            assert not view.flags.writeable
+            assert np.array_equal(np.ascontiguousarray(view).view(np.int64),
+                                  direct.view(np.int64))
 
 
 class TestTruncations:

@@ -201,6 +201,21 @@ class TestBigThetaNorm:
         with pytest.raises(InvalidInputError, match="permutation"):
             big_theta_norm(T, [0.0, 0.0], 0.2, order=order)
 
+    @pytest.mark.parametrize("order", [(0, 1.0), (1.0, 0.0), (0, "1"),
+                                       (0, None)])
+    def test_non_integer_order_rejected(self, order):
+        T = random_almost_commuting(2, 4, 1e-2, 0)
+        with pytest.raises(InvalidInputError, match="permutation"):
+            big_theta_norm(T, [0.0, 0.0], 0.2, order=order)
+        with pytest.raises(InvalidInputError, match="permutation"):
+            synthetic_spectrum(T, 0.2, order=order)
+
+    def test_numpy_integer_order_accepted(self):
+        T = random_almost_commuting(2, 4, 1e-2, 0)
+        order = tuple(np.array([1, 0]))
+        assert np.array_equal(synthetic_spectrum(T, 0.2, order=order).centers,
+                              synthetic_spectrum(T, 0.2, order=(1, 0)).centers)
+
 
 class TestSyntheticSpectrum:
     def contains(self, region, point):
