@@ -136,10 +136,9 @@ def fredholm_index(op: SymbolOperator, lam: complex) -> WindingReport:
     Each doubling evaluates the symbol only at the new odd samples and
     interleaves them with the ones it has.  The roots of unity are views
     of one shared table of at most MAX_WINDING_SAMPLES complex entries
-    (16 MiB); a starting count that is not a power of two can pass the
-    cap on its last doubling, so its table stays below twice that.
-    Raises ResourceLimitError if the steps are still too large at
-    MAX_WINDING_SAMPLES (2^20) samples, rather than guess a winding.
+    (16 MiB).  Raises ResourceLimitError, rather than guess a winding, if
+    the steps are still too large when doubling would pass
+    MAX_WINDING_SAMPLES (2^20) samples.
     """
     lam = complex(lam)
     if not cmath.isfinite(lam):
@@ -158,7 +157,7 @@ def fredholm_index(op: SymbolOperator, lam: complex) -> WindingReport:
             steps = np.angle(ratio)
             if np.abs(steps).max() < math.pi / 2:
                 break
-        if samples >= MAX_WINDING_SAMPLES:
+        if samples * 2 > MAX_WINDING_SAMPLES:
             raise ResourceLimitError("winding steps still exceed pi/2 at %d "
                                      "samples" % samples)
         samples *= 2

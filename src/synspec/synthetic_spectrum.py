@@ -28,7 +28,6 @@ from .errors import (
     InvalidInputError,
     InvalidWitnessError,
     ResourceLimitError,
-    UnsupportedDimensionError,
 )
 from .operator_core import (
     HermitianMatrix,
@@ -403,55 +402,28 @@ def near_spectrum_witness(T: OperatorTuple, S: OperatorTuple,
                          max_distance=max_distance, valid=max_distance < eta)
 
 
-def _sphere_samples(n: int, radius: float, resolution: float) -> np.ndarray:
-    """Deterministic samples covering the radius-r sphere at the given pitch."""
-    if n == 1:
-        return np.array([[-radius], [radius]])
-    if n == 2:
-        m = max(8, int(math.ceil(2 * math.pi * radius / resolution)))
-        t = 2 * math.pi * np.arange(m) / m
-        return radius * np.stack([np.cos(t), np.sin(t)], axis=1)
-    if n == 3:
-        m = max(32, int(math.ceil(4 * math.pi * radius ** 2 / resolution ** 2)))
-        i = np.arange(m) + 0.5
-        phi = math.pi * (3 - math.sqrt(5)) * i
-        z = 1 - 2 * i / m
-        r = np.sqrt(np.clip(1 - z ** 2, 0, None))
-        return radius * np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
-    raise UnsupportedDimensionError("boundary sampling supports n <= 3")
-
-
 def containment_check(inner, outer: BallUnion, slack: float) -> bool:
-    """True iff every point of ``inner`` lies within ``slack`` of ``outer``.
+    """Certify that every point of ``inner`` lies within ``slack`` of ``outer``.
 
-    Distances are compared with 1e-9 of rounding slack on top.  ``inner``
-    is a finite point set or a BallUnion; for a BallUnion the centers are
-    tried first via the sufficient ball-in-ball criterion and only the
-    failures fall back to boundary sampling at pitch eta/20.
+    ``inner`` is a BallUnion or a finite point set, which is a union of
+    radius-0 balls.  Each inner ball of radius r must fit in one outer ball
+    dilated by ``slack``: d + r <= outer.eta + slack, plus 1e-9 for rounding,
+    with d the distance from its center to the nearest outer center.  This
+    holds in any dimension, so True is certified.  False means "not
+    certified", not "not contained": a ball that only several outer balls
+    cover together is not recognised.  ``slack`` must be finite and >= 0.
     """
+    if not (math.isfinite(slack) and slack >= 0):
+        raise InvalidInputError("slack must be finite and >= 0")
     if isinstance(inner, BallUnion):
-        if inner.n != outer.n:
-            raise InvalidInputError("ambient dimensions differ")
-        if inner.is_empty:
-            return True
-        if outer.is_empty:
-            return False
-        d, _ = outer.tree.query(inner.centers)
-        easy = d + inner.eta <= outer.eta + slack + 1e-9
-        if easy.all():
-            return True
-        hard = inner.centers[~easy]
-        shell = _sphere_samples(inner.n, inner.eta, inner.eta / 20)
-        for c in hard:
-            pts = np.vstack([c[None, :], c[None, :] + shell])
-            if (outer.distance_to_points(pts) > slack + 1e-9).any():
-                return False
-        return True
-    pts = np.atleast_2d(np.asarray(inner, dtype=float))
+        pts, r = inner.centers, inner.eta
+    else:
+        pts, r = np.atleast_2d(np.asarray(inner, dtype=float)), 0.0
     if pts.shape[1] != outer.n:
         raise InvalidInputError("ambient dimensions differ")
     if pts.shape[0] == 0:
         return True
     if outer.is_empty:
         return False
-    return bool((outer.distance_to_points(pts) <= slack + 1e-9).all())
+    d, _ = outer.tree.query(pts)
+    return bool((d + r <= outer.eta + slack + 1e-9).all())

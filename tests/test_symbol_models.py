@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from synspec import (
     ramp_diagonal,
     symbol_curve,
 )
+from synspec import symbol_models
 from synspec.symbol_models import MAX_WINDING_SAMPLES, _circle
 from synspec.verify import winding_oracle
 
@@ -160,6 +162,14 @@ class TestFredholmIndex:
         lam = scale * np.exp(2j * np.pi / 3)
         with pytest.raises(ResourceLimitError):
             fredholm_index(SymbolOperator.shift(), lam)
+
+    def test_sample_cap_holds_for_any_start(self):
+        # the start 320 is not a power of two: 655360 * 2 would pass the cap
+        with pytest.raises(ResourceLimitError) as info:
+            fredholm_index(SymbolOperator({40: 0.5, 1: 0.5}), 0.001j)
+        assert int(re.search(r"at (\d+) samples", str(info.value))[1]) \
+            <= MAX_WINDING_SAMPLES
+        assert symbol_models._CIRCLE_TABLE.size <= MAX_WINDING_SAMPLES
 
     def test_index_matches_winding_sign(self):
         rep = fredholm_index(SymbolOperator.shift(), 0.1 + 0.1j)

@@ -15,7 +15,6 @@ from synspec import (
     InvalidWitnessError,
     OperatorTuple,
     ResourceLimitError,
-    UnsupportedDimensionError,
     big_theta_norm,
     containment_check,
     dilate,
@@ -432,24 +431,59 @@ class TestContainment:
         assert not containment_check(np.array([[0.5, 0.0]]), b, 0.1)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_boundary_sampling_path(self, n):
+    def test_union_cover_not_certified(self, n):
         a = BallUnion(n, 0.2, np.zeros((1, n)))
         b = BallUnion(n, 0.1, np.zeros((1, n)))
         assert containment_check(a, b, 0.1)  # ball in ball
-        # the inner sphere lies 0.1 outside b: boundary samples say so
-        assert not containment_check(a, b, 0.05)
-        # no single outer ball holds the inner one, but the 2n balls at
-        # +-0.05 along the axes cover it: boundary samples say so
+        assert not containment_check(a, b, 0.05)  # 0.1 outside b
+        # the 2n balls at +-0.05 along the axes cover the inner ball, but
+        # no single one holds it, so containment is not certified
         inner = BallUnion(n, 0.1, np.zeros((1, n)))
         axes = 0.05 * np.eye(n)
         outer = BallUnion(n, 0.1, np.vstack([axes, -axes]))
-        assert containment_check(inner, outer, 0.0)
+        assert not containment_check(inner, outer, 0.0)
+        assert containment_check(inner, outer, 0.05)
 
-    def test_boundary_sampling_needs_n_le_3(self):
-        a = BallUnion(4, 0.2, np.zeros((1, 4)))
-        b = BallUnion(4, 0.1, np.zeros((1, 4)))
-        with pytest.raises(UnsupportedDimensionError):
-            containment_check(a, b, 0.05)
+    def test_any_dimension(self):
+        a = BallUnion(4, 0.1, np.zeros((1, 4)))
+        b = BallUnion(4, 0.2, np.array([[0.05, 0.0, 0.0, 0.0]]))
+        assert containment_check(a, b, 0.0)
+        assert not containment_check(b, a, 0.05)
+
+    @pytest.mark.parametrize("slack", [float("nan"), float("inf"),
+                                       -float("inf"), -0.1])
+    def test_bad_slack_rejected(self, slack):
+        a = BallUnion(2, 0.1, np.array([[0.0, 0.0]]))
+        b = BallUnion(2, 0.1, np.array([[5.0, 5.0]]))
+        for inner in (a, a.centers):
+            with pytest.raises(InvalidInputError, match="slack"):
+                containment_check(inner, b, slack)
+
+    @settings(deadline=None, derandomize=True, max_examples=200)
+    @given(st.integers(1, 4), st.data())
+    def test_true_is_sound(self, n, data):
+        # outer centers near the inner ones, so many draws are contained
+        coord = st.floats(-0.5, 0.5)
+        k = data.draw(st.integers(1, 4))
+        inner = np.array([[data.draw(coord) for _ in range(n)]
+                          for _ in range(k)])
+        outer = np.vstack([inner, inner[:2]])
+        outer += np.array([[data.draw(st.floats(-0.1, 0.1)) for _ in range(n)]
+                           for _ in outer])
+        r, R = data.draw(st.floats(0.01, 0.3)), data.draw(st.floats(0.01, 0.3))
+        slack = data.draw(st.floats(0.0, 0.2))
+        if not containment_check(BallUnion(n, r, inner),
+                                 BallUnion(n, R, outer), slack):
+            return
+        # each ball's center, its 2n axis points and 8 seeded inner points
+        rng = np.random.default_rng(0)
+        g = rng.standard_normal((8, n))
+        g *= (r * rng.uniform(size=(8, 1)) ** (1 / n)
+              / np.linalg.norm(g, axis=1, keepdims=True))
+        probes = np.vstack([np.zeros((1, n)), r * np.eye(n), -r * np.eye(n), g])
+        pts = (inner[:, None, :] + probes[None]).reshape(-1, n)
+        d = np.linalg.norm(pts[:, None, :] - outer[None], axis=2).min(axis=1)
+        assert (d <= R + slack + 1e-9).all()
 
 
 class TestSpectralProperties:
