@@ -34,6 +34,7 @@ from .synthetic_spectrum import (
     BORDERLINE_TOL,
     BallUnion,
     GridSpec,
+    _check_cap,
     bump_weights,
 )
 
@@ -281,16 +282,16 @@ def scalar_synthetic_spectrum(op: SymbolOperator, eta: float) -> tuple:
     product is the sup over the curve, approximated on CIRCLE_SAMPLES
     points of the circle.  Returns (BallUnion, sampling error bound) where
     the bound is the observed modulus of continuity of the sampled curve.
+    A grid above DEFAULT_GRID_CAP points raises ResourceLimitError.
     """
-    if not 0 < eta < 1:
-        raise InvalidInputError("eta must lie in (0, 1)")
+    spec = GridSpec.create(2, 1.0, eta)
     curve = op.eval(_circle(CIRCLE_SAMPLES))
     a1, a2 = curve.real, curve.imag
     if max(np.abs(a1).max(), np.abs(a2).max()) > 1 + 1e-9:
         raise InvalidInputError(
             "symbol values leave [-1,1]^2; rescale the coefficients"
         )
-    spec = GridSpec.create(2, 1.0, eta)
+    _check_cap(spec.point_count)
     coords = spec.axis_coords()
     w1 = bump_weights(coords, a1, eta)
     # one row per circle sample, so a sample's weights are one row gather

@@ -180,10 +180,10 @@ def random_almost_commuting(n: int, dim: int, delta: float, seed: int,
 
     A commuting tuple (simultaneously diagonal in a random common unitary
     basis, eigenvalues in [-1+delta, 1-delta]) is perturbed by independent
-    Hermitian errors of operator norm delta/5 each, then norm-clamped.  The
-    perturbation scale keeps the analytic commutator bound
-    4*delta/5 + 2*delta^2/25 strictly below delta.  With ``exact=True`` the
-    perturbation is skipped and the commutators are exactly zero.
+    Hermitian errors of operator norm delta/5 each, so every operator is a
+    contraction (norm <= 1 - 4*delta/5).  This scale keeps the commutator
+    bound 4*delta/5 + 2*delta^2/25 strictly below delta.  With ``exact=True``
+    the perturbation is skipped and the commutators are exactly zero.
     """
     if n < 1 or dim < 1:
         raise InvalidInputError("n and dim must be >= 1")
@@ -197,11 +197,7 @@ def random_almost_commuting(n: int, dim: int, delta: float, seed: int,
         a = (U * lam) @ U.conj().T
         a = (a + a.conj().T) / 2
         if not exact:
-            e = random_hermitian(dim, rng, norm=delta / 5).entries
-            a = a + e
-        s = spectral_norm(a)
-        if s > 1.0:
-            a = a / s
+            a = a + random_hermitian(dim, rng, norm=delta / 5).entries
         ops.append(HermitianMatrix(a))
     return OperatorTuple(tuple(ops), norm_bound=1.0)
 
@@ -238,16 +234,3 @@ def joint_eigensystem(T: OperatorTuple):
         blocks = new_blocks
     return U, vals
 
-
-def dedupe_points(points: np.ndarray) -> np.ndarray:
-    """Merge points closer than 1e-9 (greedy, in lexicographic order)."""
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    order = np.lexsort(pts.T[::-1])
-    pts = pts[order]
-    kept = []
-    for p in pts:
-        if not kept or np.linalg.norm(p - np.asarray(kept), axis=1).min() > 1e-9:
-            kept.append(p.tolist())
-    return np.asarray(kept)

@@ -8,6 +8,7 @@ representative test point per bounded complement component ("hole").
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,16 +32,18 @@ class BrickSet:
     corners: np.ndarray  # integer lattice corners, shape (m, n); brick = [m/k, (m+1)/k]
 
     def __post_init__(self):
-        c = np.asarray(self.corners, dtype=int)
+        c = np.asarray(self.corners)
         if c.size == 0:
             c = np.zeros((0, self.n), dtype=int)
         if self.n < 1 or c.ndim != 2 or c.shape[1] != self.n:
             raise InvalidInputError("dimension must be >= 1 and match the corners")
-        if self.k < 1:
-            raise InvalidInputError("k must be >= 1")
+        if not (isinstance(self.k, numbers.Integral) and self.k >= 1):
+            raise InvalidInputError("k must be an integer >= 1")
+        if not (np.isfinite(c).all() and (c == np.round(c)).all()):
+            raise InvalidInputError("corners must be integers")
         if c.size and (c.min() < -self.k or c.max() > self.k - 1):
             raise InvalidInputError("bricks must stay inside [-1, 1]^n")
-        c = unique_rows(c)
+        c = unique_rows(c.astype(int))
         c.setflags(write=False)
         object.__setattr__(self, "corners", c)
 
@@ -91,8 +94,8 @@ def brick_cover(X: np.ndarray, k: int) -> BrickSet:
     pts = np.atleast_2d(np.asarray(X, dtype=float))
     if pts.size == 0:
         raise EmptyInputError("brick cover of an empty point set")
-    if k < 1:
-        raise InvalidInputError("k must be >= 1")
+    if not (isinstance(k, numbers.Integral) and k >= 1):
+        raise InvalidInputError("k must be an integer >= 1")
     n = pts.shape[1]
     if not np.isfinite(pts).all() or np.abs(pts).max() > 1.0 + 1e-12:
         raise InvalidInputError("points must lie in [-1, 1]^n")
@@ -153,16 +156,16 @@ _STRUCT_4 = ndimage.generate_binary_structure(2, 1)
 def region_topology(R, resolution: float) -> RegionTopology:
     """Connected components and bounded holes of a planar region.
 
-    Rasterizes on a bounding box with a 2r margin (r = ball radius or
-    1/k), labels the region with 8-connectivity and its complement with
-    4-connectivity; complement components not touching the frame are the
-    holes.  The representative of a hole is a deepest cell (max distance
+    Rasterizes [-1, 1]^2 and all ball centers with a 2r margin (r = ball
+    radius or 1/k), labels the region with 8-connectivity and its complement
+    with 4-connectivity; complement components not touching the frame are
+    the holes.  The representative of a hole is a deepest cell (max distance
     to the region), tie-broken toward the hole centroid.
     """
     if isinstance(R, BallUnion):
-        n, r = R.n, R.eta
+        n, r, c = R.n, R.eta, R.centers
     elif isinstance(R, BrickSet):
-        n, r = R.n, 1.0 / R.k
+        n, r, c = R.n, 1.0 / R.k, np.zeros((1, R.n))  # bricks stay in [-1, 1]^n
     else:
         raise InvalidInputError("expected a BallUnion or BrickSet")
     if R.is_empty:
@@ -172,8 +175,9 @@ def region_topology(R, resolution: float) -> RegionTopology:
     if not 0 < resolution <= r / 10 + 1e-12:
         raise InvalidInputError("resolution must lie in (0, r/10]")
 
-    lo, hi = -1.0 - 2 * r, 1.0 + 2 * r
-    axes = raster_axes((lo, lo), (hi + resolution / 2,) * 2, resolution)
+    lo = np.minimum(c.min(axis=0), -1.0) - 2 * r
+    hi = np.maximum(c.max(axis=0), 1.0) + 2 * r
+    axes = raster_axes(lo, hi + resolution / 2, resolution)
     xs, ys = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([xs.ravel(), ys.ravel()], axis=1)
     if isinstance(R, BallUnion):
@@ -203,13 +207,9 @@ def region_topology(R, resolution: float) -> RegionTopology:
         centroid = idx.mean(axis=0)
         best = cand[np.argmin(np.linalg.norm(cand - centroid, axis=1))]
         rep = np.array([axes[0][best[0]], axes[1][best[1]]])
-        # sub-resolution pockets at tangency cusps are raster artifacts,
-        # not holes; a genuine hole keeps its deepest cell clear of R
-        if isinstance(R, BallUnion):
-            true_dist = float(R.distance_to_points(rep[None, :])[0])
-        else:
-            true_dist = dmax
-        if true_dist < resolution:
+        # pockets at a ball union's tangency cusps, under a cell from R, are
+        # raster artifacts; a brick set's hole cells lie a cell or more from R
+        if isinstance(R, BallUnion) and R.distance_to_points(rep[None])[0] < resolution:
             continue
         holes.append(Hole(representative=rep, cell_count=int(cells.sum())))
     holes.sort(key=lambda h: (h.representative[0], h.representative[1]))

@@ -32,7 +32,6 @@ from .errors import (
 from .operator_core import (
     HermitianMatrix,
     OperatorTuple,
-    dedupe_points,
     joint_eigensystem,
     pairwise_commutator_norms,
     spectral_norm,
@@ -70,8 +69,15 @@ class GridSpec:
 
     @classmethod
     def create(cls, n: int, M: float, eta: float) -> "GridSpec":
-        """Grid with the canonical denominator k tied to eta."""
-        return cls(n, float(M), float(eta), _lattice_denominator(n, M, eta))
+        """Grid with the canonical denominator k tied to eta; ResourceLimitError
+        when k, M*k or the point count passes the float range."""
+        try:
+            spec = cls(n, float(M), float(eta), _lattice_denominator(n, M, eta))
+            float(spec.point_count)
+        except OverflowError:
+            raise ResourceLimitError("the eta=%g grid on [-%g, %g]^%d has too many "
+                                     "points to count" % (eta, M, M, n))
+        return spec
 
     @property
     def m_max(self) -> int:
@@ -89,16 +95,22 @@ class GridSpec:
 def _lattice_denominator(n: int, M: float, eta: float) -> int:
     if not 0 < eta < 1:
         raise InvalidInputError("eta must lie in (0, 1)")
+    if not 0 < M < math.inf:
+        raise InvalidInputError("M must be positive and finite")
     bound = eta / (1 + 2 * math.sqrt(n))
-    k = max(1, int(math.floor((M + 1) / bound)))
-    while (M + 1) / k >= bound:
-        k += 1
-    while k > 1 and (M + 1) / (k - 1) < bound:
-        k -= 1
-    return k
+    # (M+1)/k < bound is monotone in k: double, then bisect (OverflowError past floats)
+    lo, hi = 0, 1
+    while not (M + 1) / hi < bound:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if (M + 1) / mid < bound else (mid, hi)
+    return hi
 
 
 def _check_cap(n, cap: int = DEFAULT_GRID_CAP) -> None:
+    if math.isnan(cap):
+        raise InvalidInputError("grid cap must not be NaN")
     if n > cap:
         raise ResourceLimitError("grid has %.0f points, above the cap %d" % (n, cap))
 
@@ -376,11 +388,11 @@ def near_spectrum_witness(T: OperatorTuple, S: OperatorTuple,
                           eta: float) -> WitnessReport:
     """Witness report for T built from an exactly commuting tuple S.
 
-    The witness set is the joint spectrum of S.  The induced evaluation map
-    is a homomorphism, so the multiplicativity defect is 0 and the lower
-    norm condition holds automatically; the report carries neither.  The
-    witness is valid iff every coordinate distance ||S_j - T_j|| is below
-    eta.
+    The witness set is the distinct rows of S's joint spectrum, sorted.  The
+    induced evaluation map is a homomorphism, so the multiplicativity defect
+    is 0 and the lower norm condition holds automatically; the report
+    carries neither.  The witness is valid iff every coordinate distance
+    ||S_j - T_j|| is below eta.
     """
     if T.n != S.n or T.dim != S.dim:
         raise InvalidInputError("tuples do not match in shape")
@@ -392,7 +404,7 @@ def near_spectrum_witness(T: OperatorTuple, S: OperatorTuple,
             "witness tuple is not commuting (max commutator %.3e)" % comms.max()
         )
     _, vals = joint_eigensystem(S)
-    points = dedupe_points(vals)
+    points = unique_rows(vals)
     distances = tuple(
         spectral_norm(S.ops[j].entries - T.ops[j].entries) for j in range(T.n)
     )
@@ -411,7 +423,7 @@ def containment_check(inner, outer: BallUnion, slack: float) -> bool:
     with d the distance from its center to the nearest outer center.  This
     holds in any dimension, so True is certified.  False means "not
     certified", not "not contained": a ball that only several outer balls
-    cover together is not recognised.  ``slack`` must be finite and >= 0.
+    cover together is not recognised.  All input must be finite, slack >= 0.
     """
     if not (math.isfinite(slack) and slack >= 0):
         raise InvalidInputError("slack must be finite and >= 0")
@@ -419,6 +431,8 @@ def containment_check(inner, outer: BallUnion, slack: float) -> bool:
         pts, r = inner.centers, inner.eta
     else:
         pts, r = np.atleast_2d(np.asarray(inner, dtype=float)), 0.0
+        if not np.isfinite(pts).all():
+            raise InvalidInputError("points must be finite")
     if pts.shape[1] != outer.n:
         raise InvalidInputError("ambient dimensions differ")
     if pts.shape[0] == 0:

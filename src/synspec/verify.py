@@ -47,10 +47,6 @@ from .synthetic_spectrum import (
     synthetic_spectrum,
 )
 
-SUITES = ("containment", "uniqueness", "bricks", "winding", "obstruction",
-          "approximant")
-
-
 def _sub_rng(seed: int, label: str, trial: int) -> np.random.Generator:
     h = zlib.crc32(label.encode()) % (2 ** 31)
     return np.random.default_rng(np.random.SeedSequence([seed, h, trial]))
@@ -465,6 +461,7 @@ _SUITE_FNS = {
     "obstruction": _suite_obstruction,
     "approximant": _suite_approximant,
 }
+SUITES = tuple(_SUITE_FNS)
 
 
 def run_suite(suite: str, trials: int = 50, seed: int = 0) -> dict:

@@ -84,6 +84,25 @@ class TestSspec:
         code = main(["sspec", "--input", str(pair), "--eta", "0.05"])
         assert code == 3
 
+    @pytest.mark.parametrize("argv", [
+        ["sspec", "--input", "{T}", "--eta", "1e-30"],
+        ["sspec", "--input", "{T}", "--eta", "1e-300"],
+        ["sspec", "--input", "{T}", "--eta", "5e-324"],
+        ["sspec", "--input", "{huge_M}", "--eta", "0.1"],
+        ["index-check", "--symbol", "{shift}", "--eta", "1e-300"],
+        ["index-check", "--symbol", "{shift}", "--eta", "1e-17"],
+    ], ids=["sspec-1e-30", "sspec-1e-300", "sspec-5e-324", "sspec-M-1e300",
+            "index-check-1e-300", "index-check-1e-17"])
+    def test_uncountable_grid_exit_3(self, tmp_path, capsys, alarm, argv):
+        T = random_almost_commuting(2, 4, 1e-2, 0).to_json()
+        paths = {}
+        for name, obj in (("T", T), ("huge_M", dict(T, M=1e300)),
+                          ("shift", SymbolOperator.shift().to_json())):
+            paths[name] = str(tmp_path / (name + ".json"))
+            dump_canonical(obj, paths[name])
+        assert main([a.format(**paths) for a in argv]) == 3
+        assert "resource-limit" in capsys.readouterr().err
+
 
 class TestGeometryCommands:
     def test_hausdorff(self, tmp_path, capsys):

@@ -9,6 +9,7 @@ from synspec import (
     InvalidInputError,
     NoObstructionError,
     OperatorTuple,
+    ResourceLimitError,
     SymbolOperator,
     bott_index,
     certificate_matrix,
@@ -24,7 +25,12 @@ from synspec import (
     spin_triple,
 )
 from synspec.obstructions import _rotate_round, _round_robin
-from synspec.synthetic_spectrum import BORDERLINE_TOL, GridSpec, bump_weights
+from synspec.synthetic_spectrum import (
+    BORDERLINE_TOL,
+    DEFAULT_GRID_CAP,
+    GridSpec,
+    bump_weights,
+)
 
 
 def herm(a):
@@ -335,6 +341,13 @@ class TestIndexHypothesisCheck:
             assert np.array_equal(region.centers,
                                   np.asarray(centers).reshape(-1, 2))
             assert hop == float(np.abs(np.diff(np.append(curve, curve[0]))).max())
+
+    @pytest.mark.parametrize("eta", [0.003, 1e-17])
+    def test_quotient_grid_cap(self, eta):
+        # at eta = 0.003 the grid has 26,081,449 points
+        assert GridSpec.create(2, 1.0, eta).point_count > DEFAULT_GRID_CAP
+        with pytest.raises(ResourceLimitError, match="above the cap"):
+            scalar_synthetic_spectrum(SymbolOperator.shift(), eta)
 
     def test_oversized_symbol_rejected(self):
         op = SymbolOperator({0: 1.5})

@@ -6,7 +6,6 @@ from synspec import (
     InvalidInputError,
     OperatorTuple,
     commutator_norm,
-    dedupe_points,
     joint_eigensystem,
     op_norm,
     pairwise_commutator_norms,
@@ -191,8 +190,3 @@ class TestJointEigensystem:
         got = {tuple(np.round(v, 6)) for v in vals}
         assert got == {(1.0, 3.0), (1.0, 4.0), (2.0, 5.0)}
 
-
-def test_dedupe_points():
-    pts = np.array([[0.0, 0.0], [0.0, 1e-12], [1.0, 1.0]])
-    out = dedupe_points(pts)
-    assert out.shape == (2, 2)

@@ -97,6 +97,17 @@ class TestBrickSet:
         with pytest.raises(InvalidInputError):
             BrickSet(2, 5, np.array([[5, 0]]))
 
+    @pytest.mark.parametrize("corner", [[0.7, -0.4], [float("nan"), 0.0]])
+    def test_fractional_corner_rejected(self, corner):
+        with pytest.raises(InvalidInputError, match="integers"):
+            BrickSet(2, 5, np.array([corner]))
+
+    def test_non_integer_k_rejected(self):
+        with pytest.raises(InvalidInputError, match="integer"):
+            BrickSet(1, 2.5, np.array([[0]]))
+        with pytest.raises(InvalidInputError, match="integer"):
+            brick_cover(np.array([[0.1, 0.1]]), 2.5)
+
     def test_json_roundtrip(self):
         b = BrickSet(2, 10, np.array([[0, 0], [-3, 2]]))
         back = BrickSet.from_json(b.to_json())
@@ -123,6 +134,21 @@ class TestRegionTopology:
         assert len(topo.holes) == 1
         rep = topo.holes[0].representative
         assert np.linalg.norm(rep) < 0.2  # deepest cell sits near the origin
+
+    @pytest.mark.parametrize("center, radius, components, holes", [
+        ((0.0, 0.0), 1.5, 1, 1),
+        ((1.5, 0.0), 0.5, 1, 1),
+        ((0.0, 0.0), 3.0, 48, 0),  # 0.39 apart: the balls do not touch
+    ])
+    def test_raster_grows_to_fit_the_region(self, center, radius, components,
+                                            holes):
+        ang = 2 * np.pi * np.arange(48) / 48
+        ring = radius * np.stack([np.cos(ang), np.sin(ang)], axis=1)
+        topo = region_topology(BallUnion(2, 0.15, np.add(center, ring)), 0.01)
+        assert topo.component_count == components
+        assert len(topo.holes) == holes
+        for h in topo.holes:
+            assert np.linalg.norm(h.representative - center) < 0.1
 
     def test_two_components(self):
         b = BallUnion(2, 0.1, np.array([[-0.5, 0.0], [0.5, 0.0]]))

@@ -92,6 +92,32 @@ class TestGridSpec:
         with pytest.raises(InvalidInputError):
             GridSpec(2, 1.0, 0.1, 0)
 
+    def test_rule_minimality_in_floats(self, alarm):
+        # k up to about 1e38, where stepping k by 1 would never end
+        rng = np.random.default_rng(0)
+        for _ in range(2000):
+            n = int(rng.integers(1, 7))
+            M, eta = 10 ** rng.uniform(-3, 6), 10 ** rng.uniform(-30, -1e-9)
+            k = GridSpec.create(n, M, eta).k
+            bound = eta / (1 + 2 * np.sqrt(n))
+            assert (M + 1) / k < bound
+            assert k == 1 or not (M + 1) / (k - 1) < bound
+
+    @pytest.mark.parametrize("n, M, eta", [
+        (2, 1.0, 1e-300),  # k too large for a float
+        (2, 1.0, 5e-324),  # the pitch bound underflows to 0
+        (2, 1e300, 0.1),  # M * k overflows
+        (2, 1.0, 1e-200),  # the point count overflows a float
+    ])
+    def test_uncountable_grid_raises_resource_limit(self, alarm, n, M, eta):
+        with pytest.raises(ResourceLimitError, match="too many points"):
+            GridSpec.create(n, M, eta)
+
+    @pytest.mark.parametrize("M", [float("nan"), float("inf")])
+    def test_non_finite_M_rejected(self, M):
+        with pytest.raises(InvalidInputError, match="M must be"):
+            GridSpec.create(2, M, 0.1)
+
     def test_grid_cap(self):
         spec = GridSpec.create(3, 1.0, 0.05)
         with pytest.raises(ResourceLimitError):
@@ -326,6 +352,11 @@ class TestSyntheticSpectrum:
         with pytest.raises(ResourceLimitError):
             synthetic_spectrum(T, 0.05)
 
+    def test_nan_grid_cap_rejected(self):
+        T = random_almost_commuting(2, 4, 1e-2, 0)
+        with pytest.raises(InvalidInputError, match="grid cap"):
+            synthetic_spectrum(T, 0.2, grid_cap=float("nan"))
+
     def test_bad_order(self):
         T = random_almost_commuting(2, 4, 1e-2, 0)
         with pytest.raises(InvalidInputError):
@@ -458,6 +489,12 @@ class TestContainment:
         for inner in (a, a.centers):
             with pytest.raises(InvalidInputError, match="slack"):
                 containment_check(inner, b, slack)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_point_rejected(self, bad):
+        b = BallUnion(2, 0.1, np.array([[0.0, 0.0]]))
+        with pytest.raises(InvalidInputError, match="finite"):
+            containment_check(np.array([[0.0, 0.0], [bad, 0.0]]), b, 0.0)
 
     @settings(deadline=None, derandomize=True, max_examples=200)
     @given(st.integers(1, 4), st.data())
