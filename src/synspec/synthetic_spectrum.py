@@ -6,10 +6,13 @@ the tuple has norm >= 1-eta.  Evaluation works in the per-operator
 eigenbases, which keeps each bump factor low-rank and lets the grid sweep
 prune whole prefixes whose partial product already falls below threshold
 (sound: appending a contraction cannot increase the norm).  The sweep goes
-one axis at a time and keeps the Gram matrix of each prefix's product.  A
-(prefix, candidate) pair is dropped by the exact Frobenius norm of its
-product; ``eigvalsh`` of its Gram matrix scores the rest and becomes the next
-state.  Chunks of ``_BATCH`` pairs bound memory beyond the stored prefixes.
+one axis at a time and keeps the Gram matrix of each prefix's product.  The
+squared norm of a (prefix, candidate) pair's product is the top eigenvalue
+of its Gram matrix, between the largest diagonal term and the trace: a pair
+is rejected when the trace is below threshold^2, accepted when the largest
+diagonal term reaches it, and ``eigvalsh`` scores only the pairs in between.
+A kept pair's Gram matrix becomes the next level's state.  Chunks of
+``_BATCH`` pairs bound memory beyond the stored prefixes.
 """
 from __future__ import annotations
 
@@ -62,10 +65,14 @@ class GridSpec:
             raise InvalidInputError("ambient dimension must be >= 1")
         if not 0 < self.eta < 1:
             raise InvalidInputError("eta must lie in (0, 1)")
-        if self.M <= 0:
-            raise InvalidInputError("M must be positive")
-        if self.k < 1:
-            raise InvalidInputError("k must be >= 1")
+        if not (math.isfinite(self.M) and self.M > 0):
+            raise InvalidInputError("M must be positive and finite")
+        try:
+            k = operator.index(self.k)
+        except TypeError:
+            k = 0
+        if k < 1:
+            raise InvalidInputError("k must be an integer >= 1")
 
     @classmethod
     def create(cls, n: int, M: float, eta: float) -> "GridSpec":
@@ -259,6 +266,11 @@ def synthetic_spectrum(T: OperatorTuple, eta: float, *,
     sweep prunes grid prefixes whose partial product norm is already below
     threshold; pruning never changes the result, as
     ``verify.matches_pointwise_oracle`` checks against ``big_theta_norm``.
+    Each (prefix, candidate) pair is rejected by the trace of its Gram
+    matrix, accepted by its largest diagonal term, or else eigensolved.  At
+    DEBUG the module logger prints, per level, ``prefixes``,
+    ``bounded_out``, ``accepted_by_bound``, ``eigensolved`` (the rows
+    ``eigvalsh`` receives) and ``survivors``.
     """
     spec = GridSpec.create(T.n, T.norm_bound, eta)
     _check_cap(spec.point_count, grid_cap)
@@ -300,35 +312,45 @@ def _pruned_sweep(coords, eigs, W, thresh) -> np.ndarray:
         # Kh[j] = U* B_j = K_j*, shared by the prefixes that end in candidate j
         Kh = U.conj().T @ Us
         ws, order, Us = _supports(wc, U)
-        step = max(1, _BATCH // cand.size)
-        kept, nxt, solved = [np.zeros((2, 0), dtype=int)], [], 0
+        step, mid = max(1, _BATCH // cand.size), axis < n - 1
+        kept, nxt, passed, solved = [np.zeros((2, 0), dtype=int)], [], 0, 0
         for lo in range(0, len(G), step):
             Khb = Kh[last[lo:lo + step]]
             KH = Khb @ G[lo:lo + step]
-            # ||P theta||^2 <= ||P theta||_F^2 = sum_j wc_j^2 (K* G K)_jj
-            ub2 = (KH * Khb.conj()).sum(axis=2).real @ (wc ** 2).T
+            # ||P theta||^2 is the top eigenvalue of the Gram matrix, which lies
+            # between its largest diagonal term and its trace, the Frobenius norm
+            # ||P theta||_F^2 = sum_j wc_j^2 (K* G K)_jj
+            dg = (KH * Khb.conj()).sum(axis=2).real
+            ub2 = dg @ (wc ** 2).T
+            lb2 = (dg[:, order] * ws ** 2).max(axis=2)
             pi, ci = np.nonzero(ub2 >= thresh ** 2)
-            solved += pi.size
+            passed += pi.size
             for plo in range(0, pi.size, _BATCH):
                 p, c = pi[plo:plo + _BATCH], ci[plo:plo + _BATCH]
-                # Gram matrix diag(w) K_s* G K_s diag(w), s the candidate's support;
-                # its top eigenvalue is ||P theta||^2 (eigvalsh reads one triangle)
-                w = ws[c][:, :, None]
-                rows = p[:, None], order[c]
+                sel = lb2[p, c] >= thresh ** 2
+                und = np.flatnonzero(~sel)
+                # Gram matrix diag(w) K_s* G K_s diag(w), s the candidate's support:
+                # a middle level forms it for every pair left, as a kept pair's is
+                # the next state; the last level only for the undecided ones
+                # (eigvalsh reads one triangle)
+                mp, mc = (p, c) if mid else (p[und], c[und])
+                w = ws[mc][:, :, None]
+                rows = mp[:, None], order[mc]
                 M = (Khb[rows] * w) @ (KH[rows] * w).conj().transpose(0, 2, 1)
-                ev = np.linalg.eigvalsh(M)[:, -1]
-                sel = np.sqrt(np.clip(ev, 0.0, None)) >= thresh
+                ev = np.linalg.eigvalsh(M[und] if mid else M)[:, -1]
+                sel[und] = np.sqrt(np.clip(ev, 0.0, None)) >= thresh
+                solved += und.size
                 kept.append(np.stack([lo + p[sel], c[sel]]))
-                if axis < n - 1:
+                if mid:
                     nxt.append(M[sel])
         p, c = np.concatenate(kept, axis=1)
-        log.debug("sweep axis %d: prefixes=%d bounded_out=%d eigensolved=%d "
-                  "survivors=%d", axis, len(G), len(G) * cand.size - solved,
-                  solved, p.size)
+        log.debug("sweep axis %d: prefixes=%d bounded_out=%d accepted_by_bound=%d "
+                  "eigensolved=%d survivors=%d", axis, len(G),
+                  len(G) * cand.size - passed, passed - solved, solved, p.size)
         if p.size == 0:
             return np.zeros((0, n))
         cs = np.hstack([cs[p], cand[c][:, None]])
-        if axis < n - 1:
+        if mid:
             G, last = np.concatenate(nxt), c
     return coords[cs]
 

@@ -1,5 +1,6 @@
 import importlib
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -60,6 +61,35 @@ def tiny_tuples(draw):
     return scaled(T, draw(st.sampled_from([0.2, 0.3]))), 0.3
 
 
+def dense_level_counts(T, eta):
+    """The sweep's per-level counts, from dense bump products.
+
+    Prefixes and survivors are those of a per-prefix loop.  A pair passes the
+    trace bound iff its product a @ b has Frobenius norm >= the threshold, and
+    is accepted by bound iff the largest column norm of (a @ b) U, U the
+    candidate axis's eigenbasis, reaches it; the pairs that pass but are not
+    accepted are eigensolved.
+    """
+    thresh = (1.0 - eta) - sweep_module.BORDERLINE_TOL
+    coords = GridSpec.create(T.n, T.norm_bound, eta).axis_coords()
+    cand = [[b for b in (sweep_module._bump_matrix(op, c, eta) for c in coords)
+             if spectral_norm(b) >= thresh]
+            for op in T.ops]
+    prefixes, out = cand[0], []
+    for axis in range(1, T.n):
+        U = T.ops[axis].eigh[1]
+        pairs = [a @ b for a in prefixes for b in cand[axis]]
+        passed = [x for x in pairs if np.linalg.norm(x) >= thresh]
+        accepted = sum(np.linalg.norm(x @ U, axis=0).max() >= thresh for x in passed)
+        survivors = [x for x in pairs if spectral_norm(x) >= thresh]
+        out.append({"prefixes": len(prefixes), "bounded_out": len(pairs) - len(passed),
+                    "accepted_by_bound": accepted,
+                    "eigensolved": len(passed) - accepted,
+                    "survivors": len(survivors)})
+        prefixes = survivors
+    return out
+
+
 # 0.3 (sigma_z, sigma_x, sigma_z): at eta = 0.28 each bump sees one eigenvalue,
 # so every sigma_z bump times a sigma_x bump has norm <= 1/sqrt(2) < 1 - eta
 # and the middle level keeps no prefix
@@ -89,8 +119,21 @@ class TestGridSpec:
         assert 2.0 / spec.k < bound <= 2.0 / (spec.k - 1)
 
     def test_bad_k_rejected(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match="k must be"):
             GridSpec(2, 1.0, 0.1, 0)
+
+    @pytest.mark.parametrize("k", [2.5, 5.0, "5", None])
+    def test_non_integral_k_rejected(self, k):
+        with pytest.raises(InvalidInputError, match="k must be"):
+            GridSpec(2, 1.0, 0.1, k)
+
+    def test_numpy_integer_k_accepted(self):
+        assert GridSpec(2, 1.0, 0.1, np.int64(5)).point_count == 121
+
+    @pytest.mark.parametrize("M", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_bad_M_rejected_by_constructor(self, M):
+        with pytest.raises(InvalidInputError, match="M must be"):
+            GridSpec(2, M, 0.1, 5)
 
     def test_rule_minimality_in_floats(self, alarm):
         # k up to about 1e38, where stepping k by 1 would never end
@@ -293,35 +336,42 @@ class TestSyntheticSpectrum:
         assert region.is_empty
         assert matches_pointwise_oracle(PAULI_ZXZ, 0.28, region)
         assert caplog.messages == ["sweep axis 1: prefixes=10 bounded_out=100 "
-                                   "eigensolved=0 survivors=0"]
+                                   "accepted_by_bound=0 eigensolved=0 survivors=0"]
 
     def test_level_counts_logged(self, caplog):
-        # prefixes and survivors are those of the per-prefix loop this sweep
-        # replaced; a pair is eigensolved iff its dense bump product has
-        # Frobenius norm >= the threshold
         caplog.set_level(logging.DEBUG, logger=sweep_module.__name__)
         T, eta = scaled(random_almost_commuting(3, 4, 1e-2, 0), 0.3), 0.2
-        thresh = (1.0 - eta) - sweep_module.BORDERLINE_TOL
-        coords = GridSpec.create(3, 0.3, eta).axis_coords()
-        cand = [[b for b in (sweep_module._bump_matrix(op, c, eta) for c in coords)
-                 if spectral_norm(b) >= thresh]
-                for op in T.ops]
-        prefixes, want = cand[0], []
-        for axis in (1, 2):
-            pairs = [a @ b for a in prefixes for b in cand[axis]]
-            solved = sum(np.linalg.norm(x) >= thresh for x in pairs)
-            survivors = [x for x in pairs if spectral_norm(x) >= thresh]
-            want.append("sweep axis %d: prefixes=%d bounded_out=%d eigensolved=%d "
-                        "survivors=%d" % (axis, len(prefixes), len(pairs) - solved,
-                                          solved, len(survivors)))
-            prefixes = survivors
+        want = ["sweep axis %d: " % axis + " ".join("%s=%d" % kv for kv in c.items())
+                for axis, c in enumerate(dense_level_counts(T, eta), 1)]
         assert synthetic_spectrum(T, eta).centers.shape[0] == 2361
         assert caplog.messages == want == [
-            "sweep axis 1: prefixes=18 bounded_out=73 eigensolved=269 "
-            "survivors=268",
-            "sweep axis 2: prefixes=268 bounded_out=2728 eigensolved=2364 "
-            "survivors=2361",
+            "sweep axis 1: prefixes=18 bounded_out=73 accepted_by_bound=268 "
+            "eigensolved=1 survivors=268",
+            "sweep axis 2: prefixes=268 bounded_out=2728 accepted_by_bound=2361 "
+            "eigensolved=3 survivors=2361",
         ]
+
+    # the n = 2 pair eigensolves 21 pairs and keeps 19 of them
+    @pytest.mark.parametrize("n, dim, M, delta, seed", [
+        (3, 4, 0.3, 1e-2, 0), (2, 6, 1.0, 0.1, 2)], ids=["n3-dim4", "n2-dim6"])
+    def test_eigvalsh_sees_only_undecided_pairs(self, monkeypatch, caplog,
+                                                n, dim, M, delta, seed):
+        rows, eigvalsh = [], np.linalg.eigvalsh
+
+        def counting(a, *args, **kwargs):
+            rows.append(len(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        T = scaled(random_almost_commuting(n, dim, delta, seed), M)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        caplog.set_level(logging.DEBUG, logger=sweep_module.__name__)
+        synthetic_spectrum(T, 0.2)
+        logged = re.findall(r"eigensolved=(\d+)", " ".join(caplog.messages))
+        counts = dense_level_counts(T, 0.2)
+        assert len(logged) == len(counts) == n - 1
+        solved = sum(c["eigensolved"] for c in counts)
+        assert sum(rows) == sum(map(int, logged)) == solved
+        assert solved < sum(c["accepted_by_bound"] + c["eigensolved"] for c in counts)
 
     def test_single_operator_window(self):
         a = herm(np.diag([-1.0, 0.0, 1.0]))
