@@ -142,7 +142,7 @@ def _cmd_bott(args) -> int:
     report = bott_index(*T.ops)
     _write(report.to_json(), args.out)
     print("bott: value=%+d gap=%.6g bound=%.6g"
-          % (report.value, report.gap, report.certified_lower_bound))
+          % (report.value, report.gap, report.bound))
     return 0
 
 

@@ -3,6 +3,7 @@
 Each error carries a stable ``name`` (printed on stderr by the CLI) and the
 exit code the CLI maps it to: 2 for invalid input, 3 for resource caps.
 """
+import operator
 
 
 class SynspecError(Exception):
@@ -53,3 +54,15 @@ class NoObstructionError(SynspecError):
 class ResourceLimitError(SynspecError):
     name = "resource-limit"
     exit_code = 3
+
+
+def as_index(value, message: str, least: int | None = None) -> int:
+    """``operator.index(value)``, or InvalidInputError(message) when value is
+    not an integer (numpy integers pass) or is below ``least``."""
+    try:
+        i = operator.index(value)
+    except TypeError:
+        raise InvalidInputError(message) from None
+    if least is not None and i < least:
+        raise InvalidInputError(message)
+    return i

@@ -22,6 +22,7 @@ from .errors import (
     GaplessCertificateError,
     InvalidInputError,
     NoObstructionError,
+    as_index,
 )
 from .operator_core import (
     HermitianMatrix,
@@ -31,11 +32,11 @@ from .operator_core import (
 from .region_geometry import region_topology
 from .symbol_models import SymbolOperator, _circle, fredholm_index
 from .synthetic_spectrum import (
-    BORDERLINE_TOL,
     BallUnion,
     GridSpec,
     _check_cap,
     bump_weights,
+    inclusion_threshold,
 )
 
 CERTIFICATE_GAP_FLOOR = 1e-8
@@ -44,15 +45,17 @@ CIRCLE_SAMPLES = 4096
 
 @dataclass(frozen=True)
 class BottReport:
+    """Bott value, certificate gap, and the distance bound gap/3."""
+
     value: int
     gap: float
-    certified_lower_bound: float
+    bound: float
 
     def to_json(self) -> dict:
         return {
             "value": self.value,
             "gap": float(self.gap),
-            "certified_lower_bound": float(self.certified_lower_bound),
+            "certified_lower_bound": float(self.bound),
         }
 
 
@@ -76,8 +79,7 @@ def bott_index(H1: HermitianMatrix, H2: HermitianMatrix,
         )
     npos = int((w > 0).sum())
     nneg = int((w < 0).sum())
-    return BottReport(value=(npos - nneg) // 2, gap=gap,
-                      certified_lower_bound=gap / 3)
+    return BottReport(value=(npos - nneg) // 2, gap=gap, bound=gap / 3)
 
 
 def spin_triple(j: float) -> OperatorTuple:
@@ -99,35 +101,23 @@ def spin_triple(j: float) -> OperatorTuple:
     return OperatorTuple(ops, norm_bound=1.0)
 
 
-@dataclass(frozen=True)
-class DistanceBoundReport:
-    bound: float
-    gap: float
-    bott_value: int
-    caveat: str
-
-
-_GAPLESS_CAVEAT = (
-    "a commuting triple whose own certificate is singular evades the "
-    "signature argument; the bound rules out gapped commuting triples only"
-)
-
-
-def certified_distance_bound(H: OperatorTuple) -> DistanceBoundReport:
-    """gap/3 lower bound on the distance to gapped commuting triples.
+def certified_distance_bound(H: OperatorTuple) -> BottReport:
+    """The triple's Bott report, whose ``bound`` gap/3 is a lower bound on
+    the distance to gapped commuting triples.
 
     Any commuting triple within gap/3 per coordinate keeps the certificate
     invertible along the linear interpolation (||dB|| <= sum ||dH_j||), so
     its value would have to match the nonzero value here - impossible for
-    a gapped commuting triple, whose value is 0.
+    a gapped commuting triple, whose value is 0.  A commuting triple whose
+    own certificate is singular evades the signature argument; the bound
+    rules out gapped commuting triples only.
     """
     if H.n != 3:
         raise InvalidInputError("distance bound is defined for triples")
     rep = bott_index(*H.ops)
     if rep.value == 0:
         raise NoObstructionError("Bott value is 0; no lower bound certified")
-    return DistanceBoundReport(bound=rep.gap / 3, gap=rep.gap,
-                               bott_value=rep.value, caveat=_GAPLESS_CAVEAT)
+    return rep
 
 
 @dataclass(frozen=True)
@@ -214,8 +204,10 @@ def joint_diagonalize(T: OperatorTuple, tol: float = 1e-12,
     less than tol ("converged") or after max_sweeps, then returns
     S_j = U diag(U* T_j U) U*.
     """
-    if max_sweeps < 1 or not (math.isfinite(tol) and tol > 0):
-        raise InvalidInputError("need a finite tol > 0 and max_sweeps >= 1")
+    message = "need a finite tol > 0 and max_sweeps >= 1"
+    max_sweeps = as_index(max_sweeps, message, 1)
+    if not (math.isfinite(tol) and tol > 0):
+        raise InvalidInputError(message)
     d, n = T.dim, T.n
     X = np.stack([op.entries for op in T.ops] + [np.eye(d, dtype=complex)])
     A, U = X[:n], X[n]
@@ -234,7 +226,7 @@ def joint_diagonalize(T: OperatorTuple, tol: float = 1e-12,
             stop_reason = "converged"
             break
     mats = (U * np.diagonal(A, axis1=1, axis2=2).real[:, None]) @ U.conj().T
-    S = OperatorTuple(tuple(HermitianMatrix((a + a.conj().T) / 2) for a in mats),
+    S = OperatorTuple(tuple(HermitianMatrix(a) for a in mats),
                       norm_bound=T.norm_bound + 1e-6)
     distances = tuple(spectral_norm(t.entries - s.entries)
                       for t, s in zip(T.ops, S.ops))
@@ -296,7 +288,7 @@ def scalar_synthetic_spectrum(op: SymbolOperator, eta: float) -> tuple:
     w1 = bump_weights(coords, a1, eta)
     # one row per circle sample, so a sample's weights are one row gather
     w2 = np.ascontiguousarray(bump_weights(coords, a2, eta).T)
-    thresh = (1.0 - eta) - BORDERLINE_TOL
+    thresh = inclusion_threshold(eta)
     hits = []
     for i1 in range(coords.size):
         # fl(w1 * w2) <= w1, so only samples where w1 reaches thresh can score

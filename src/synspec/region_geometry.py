@@ -8,7 +8,6 @@ representative test point per bounded complement component ("hole").
 """
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +18,7 @@ from .errors import (
     EmptyRegionError,
     InvalidInputError,
     UnsupportedDimensionError,
+    as_index,
 )
 from .synthetic_spectrum import BallUnion, raster_axes, unique_rows
 
@@ -37,8 +37,7 @@ class BrickSet:
             c = np.zeros((0, self.n), dtype=int)
         if self.n < 1 or c.ndim != 2 or c.shape[1] != self.n:
             raise InvalidInputError("dimension must be >= 1 and match the corners")
-        if not (isinstance(self.k, numbers.Integral) and self.k >= 1):
-            raise InvalidInputError("k must be an integer >= 1")
+        as_index(self.k, "k must be an integer >= 1", 1)
         if not (np.isfinite(c).all() and (c == np.round(c)).all()):
             raise InvalidInputError("corners must be integers")
         if c.size and (c.min() < -self.k or c.max() > self.k - 1):
@@ -94,8 +93,7 @@ def brick_cover(X: np.ndarray, k: int) -> BrickSet:
     pts = np.atleast_2d(np.asarray(X, dtype=float))
     if pts.size == 0:
         raise EmptyInputError("brick cover of an empty point set")
-    if not (isinstance(k, numbers.Integral) and k >= 1):
-        raise InvalidInputError("k must be an integer >= 1")
+    as_index(k, "k must be an integer >= 1", 1)
     n = pts.shape[1]
     if not np.isfinite(pts).all() or np.abs(pts).max() > 1.0 + 1e-12:
         raise InvalidInputError("points must lie in [-1, 1]^n")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (InvalidInputError, PointOnEssentialSpectrumError,
-                     ResourceLimitError)
+                     ResourceLimitError, as_index)
 from .operator_core import HermitianMatrix, commutator_norm, spectral_norm
 
 MAX_WINDING_SAMPLES = 2 ** 20
@@ -33,9 +33,9 @@ class SymbolOperator:
     def __post_init__(self):
         cleaned = {}
         for m, c in self.coeffs.items():
-            c = complex(c)
+            m, c = as_index(m, "symbol powers must be integers"), complex(c)
             if c != 0:
-                cleaned[int(m)] = c
+                cleaned[m] = c
         if not cleaned:
             raise InvalidInputError("symbol needs at least one nonzero coefficient")
         if not sum(abs(c) for c in cleaned.values()) <= 2 + 1e-12:

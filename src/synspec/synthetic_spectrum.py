@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import logging
 import math
-import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -31,6 +30,7 @@ from .errors import (
     InvalidInputError,
     InvalidWitnessError,
     ResourceLimitError,
+    as_index,
 )
 from .operator_core import (
     HermitianMatrix,
@@ -48,43 +48,42 @@ _BATCH = 2048
 log = logging.getLogger(__name__)
 
 
+def inclusion_threshold(eta: float) -> float:
+    """Norm at which a grid point joins sSp^eta: 1 - eta, less BORDERLINE_TOL."""
+    return (1.0 - eta) - BORDERLINE_TOL
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Lattice of pitch 1/k covering [-M, M]^n, with k tied to eta.
 
-    k is exactly the least integer l with (M+1)/l < eta/(1+2*sqrt(n)).
+    k is derived: exactly the least integer l with (M+1)/l < eta/(1+2*sqrt(n)),
+    or ResourceLimitError when k, M*k or the point count passes the floats.
     """
 
     n: int
     M: float
     eta: float
-    k: int
+    k: int = field(init=False)
 
     def __post_init__(self):
-        if self.n < 1:
-            raise InvalidInputError("ambient dimension must be >= 1")
+        n = as_index(self.n, "ambient dimension must be an integer >= 1", 1)
         if not 0 < self.eta < 1:
             raise InvalidInputError("eta must lie in (0, 1)")
         if not (math.isfinite(self.M) and self.M > 0):
             raise InvalidInputError("M must be positive and finite")
+        object.__setattr__(self, "n", n)
         try:
-            k = operator.index(self.k)
-        except TypeError:
-            k = 0
-        if k < 1:
-            raise InvalidInputError("k must be an integer >= 1")
+            object.__setattr__(self, "k", _lattice_denominator(n, self.M, self.eta))
+            float(self.point_count)
+        except OverflowError:
+            raise ResourceLimitError("the eta=%g grid on [-%g, %g]^%d has too many "
+                                     "points to count" % (self.eta, self.M, self.M, n))
 
     @classmethod
     def create(cls, n: int, M: float, eta: float) -> "GridSpec":
-        """Grid with the canonical denominator k tied to eta; ResourceLimitError
-        when k, M*k or the point count passes the float range."""
-        try:
-            spec = cls(n, float(M), float(eta), _lattice_denominator(n, M, eta))
-            float(spec.point_count)
-        except OverflowError:
-            raise ResourceLimitError("the eta=%g grid on [-%g, %g]^%d has too many "
-                                     "points to count" % (eta, M, M, n))
-        return spec
+        """The grid for n axes, bound M and scale eta, taken as floats."""
+        return cls(n, float(M), float(eta))
 
     @property
     def m_max(self) -> int:
@@ -100,10 +99,6 @@ class GridSpec:
 
 
 def _lattice_denominator(n: int, M: float, eta: float) -> int:
-    if not 0 < eta < 1:
-        raise InvalidInputError("eta must lie in (0, 1)")
-    if not 0 < M < math.inf:
-        raise InvalidInputError("M must be positive and finite")
     bound = eta / (1 + 2 * math.sqrt(n))
     # (M+1)/k < bound is monotone in k: double, then bisect (OverflowError past floats)
     lo, hi = 0, 1
@@ -222,12 +217,10 @@ def _axis_order(order: tuple | None, n: int) -> tuple:
     """``order``, or the identity when it is None; it must permute the axes."""
     if order is None:
         return tuple(range(n))
-    try:
-        idx = tuple(operator.index(i) for i in order)
-    except TypeError:
-        idx = None
-    if idx is None or sorted(idx) != list(range(n)):
-        raise InvalidInputError("order must be a permutation of the axes")
+    message = "order must be a permutation of the axes"
+    idx = tuple(as_index(i, message) for i in order)
+    if sorted(idx) != list(range(n)):
+        raise InvalidInputError(message)
     return idx
 
 
@@ -278,7 +271,7 @@ def synthetic_spectrum(T: OperatorTuple, eta: float, *,
     idx = _axis_order(order, T.n)
     eigs = [np.linalg.eigh(T.ops[i].entries) for i in idx]
     W = [bump_weights(coords, w, eta) for w, _ in eigs]
-    centers = _pruned_sweep(coords, eigs, W, (1.0 - eta) - BORDERLINE_TOL)
+    centers = _pruned_sweep(coords, eigs, W, inclusion_threshold(eta))
     if order is not None:
         centers = centers[:, np.argsort(idx)]
     return BallUnion(T.n, eta, centers, spec)

@@ -13,7 +13,7 @@ import zlib
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import GaplessCertificateError, InvalidInputError
+from .errors import GaplessCertificateError, InvalidInputError, as_index
 from .obstructions import (
     bott_index,
     certified_distance_bound,
@@ -38,11 +38,11 @@ from .symbol_models import (
     symbol_curve,
 )
 from .synthetic_spectrum import (
-    BORDERLINE_TOL,
     BallUnion,
     big_theta_norm,
     containment_check,
     grid_points,
+    inclusion_threshold,
     near_spectrum_witness,
     synthetic_spectrum,
 )
@@ -145,11 +145,12 @@ def matches_pointwise_oracle(T: OperatorTuple, eta: float,
                              region: BallUnion) -> bool:
     """True iff ``region`` has exactly the centers the definition gives.
 
-    Evaluates ``big_theta_norm`` at every point of the region's grid, with
-    the sweep's threshold 1 - eta - 1e-9.  The oracle shares no eigenbases
-    or bump weights with the pruned sweep of ``synthetic_spectrum``.
+    Evaluates ``big_theta_norm`` at every point of the region's grid
+    against the sweep's ``inclusion_threshold``.  The oracle shares no
+    eigenbases or bump weights with the pruned sweep of
+    ``synthetic_spectrum``.
     """
-    thresh = (1.0 - eta) - BORDERLINE_TOL
+    thresh = inclusion_threshold(eta)
     pts = grid_points(region.grid)
     want = pts[[big_theta_norm(T, x, eta) >= thresh for x in pts]]
     return bool(np.array_equal(region.centers, want))
@@ -355,11 +356,10 @@ def _suite_obstruction(trials: int, seed: int) -> dict:
     T = spin_triple(20)
     comms = pairwise_commutator_norms(T)
     rep = bott_index(*T.ops)
-    bound = certified_distance_bound(T)
     ok = (np.abs(comms - 0.05).max() < 1e-9 and abs(rep.value) == 1
-          and rep.gap > 0 and bound.bound == rep.gap / 3)
+          and rep.gap > 0 and certified_distance_bound(T) == rep)
     rec.record("spin_triple_j20", ok,
-               {"value": rep.value, "gap": rep.gap, "bound": bound.bound})
+               {"value": rep.value, "gap": rep.gap, "bound": rep.bound})
 
     # value invariant under perturbations below gap/3
     bad = []
@@ -470,6 +470,5 @@ def run_suite(suite: str, trials: int = 50, seed: int = 0) -> dict:
         raise InvalidInputError(
             "unknown suite %r (choose from %s)" % (suite, ", ".join(SUITES))
         )
-    if trials < 1:
-        raise InvalidInputError("trials must be >= 1")
+    trials = as_index(trials, "trials must be an integer >= 1", 1)
     return _SUITE_FNS[suite](trials, seed)

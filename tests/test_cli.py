@@ -6,7 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from synspec import OperatorTuple, SymbolOperator, random_almost_commuting
+from synspec import (InvalidInputError, OperatorTuple, SymbolOperator,
+                     random_almost_commuting)
 from synspec.cli import main
 from synspec.io_json import dump_canonical
 from synspec.verify import run_suite
@@ -265,6 +266,11 @@ class TestVerify:
                          "--seed", "7", "--out", str(out)])
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("trials", [2.5, "2", 0])
+    def test_bad_trials_rejected(self, trials):
+        with pytest.raises(InvalidInputError, match="trials"):
+            run_suite("bricks", trials=trials)
 
     @pytest.mark.parametrize("suite", ["containment", "uniqueness"])
     def test_suite_passes(self, suite):

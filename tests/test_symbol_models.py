@@ -83,6 +83,16 @@ class TestSymbolOperator:
         assert op.coeffs == {0: 0.5}
         assert op.bandwidth == 0
 
+    @pytest.mark.parametrize("m", [1.5, 1.0, "1", None])
+    def test_non_integral_power_rejected(self, m):
+        with pytest.raises(InvalidInputError, match="powers must be integers"):
+            SymbolOperator({m: 0.3, 2: 0.4})
+
+    def test_numpy_integer_power_accepted(self):
+        op = SymbolOperator({np.int64(-1): 0.3, np.int32(2): 0.4})
+        assert op.coeffs == {-1: 0.3, 2: 0.4}
+        assert all(type(m) is int for m in op.coeffs)
+
     def test_requires_nonzero(self):
         with pytest.raises(InvalidInputError):
             SymbolOperator({1: 0.0})

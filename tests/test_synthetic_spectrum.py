@@ -70,7 +70,7 @@ def dense_level_counts(T, eta):
     candidate axis's eigenbasis, reaches it; the pairs that pass but are not
     accepted are eigensolved.
     """
-    thresh = (1.0 - eta) - sweep_module.BORDERLINE_TOL
+    thresh = sweep_module.inclusion_threshold(eta)
     coords = GridSpec.create(T.n, T.norm_bound, eta).axis_coords()
     cand = [[b for b in (sweep_module._bump_matrix(op, c, eta) for c in coords)
              if spectral_norm(b) >= thresh]
@@ -101,12 +101,13 @@ PAULI_ZXZ = OperatorTuple(tuple(
 
 class TestGridSpec:
     def test_explicit_small_grids(self):
-        pts = grid_points(GridSpec(1, 1.0, 0.5, 2))
-        assert np.allclose(pts.ravel(), [-1, -0.5, 0, 0.5, 1])
-        pts = grid_points(GridSpec(2, 1.0, 0.5, 1))
-        assert pts.shape == (9, 2)
-        assert {tuple(p) for p in pts} == {(x, y) for x in (-1, 0, 1)
-                                          for y in (-1, 0, 1)}
+        spec = GridSpec.create(1, 1.0, 0.9)
+        assert (spec.k, spec.point_count) == (7, 15)
+        assert np.array_equal(grid_points(spec).ravel(), np.arange(-7, 8) / 7)
+        spec = GridSpec.create(2, 1.0, 0.9)
+        pts, axis = grid_points(spec), np.arange(-9, 10) / 9
+        assert spec.k == 9 and pts.shape == (19 ** 2, 2)
+        assert {tuple(p) for p in pts} == {(x, y) for x in axis for y in axis}
 
     def test_lattice_rule_reference_case(self):
         spec = GridSpec.create(2, 1.0, 0.1)
@@ -118,22 +119,26 @@ class TestGridSpec:
         bound = 0.3 / (1 + 2 * np.sqrt(3))
         assert 2.0 / spec.k < bound <= 2.0 / (spec.k - 1)
 
-    def test_bad_k_rejected(self):
-        with pytest.raises(InvalidInputError, match="k must be"):
-            GridSpec(2, 1.0, 0.1, 0)
+    def test_k_is_derived_not_given(self):
+        with pytest.raises(TypeError):
+            GridSpec(2, 1.0, 0.1, 77)
+        with pytest.raises(TypeError):
+            GridSpec(2, 1.0, 0.1, k=77)
+        assert GridSpec(2, 1.0, 0.1) == GridSpec.create(2, 1, 0.1)
 
-    @pytest.mark.parametrize("k", [2.5, 5.0, "5", None])
-    def test_non_integral_k_rejected(self, k):
-        with pytest.raises(InvalidInputError, match="k must be"):
-            GridSpec(2, 1.0, 0.1, k)
+    @pytest.mark.parametrize("n", [2.5, 5.0, "5", None, 0, -1])
+    def test_bad_n_rejected(self, n):
+        with pytest.raises(InvalidInputError, match="ambient dimension"):
+            GridSpec.create(n, 1.0, 0.1)
 
-    def test_numpy_integer_k_accepted(self):
-        assert GridSpec(2, 1.0, 0.1, np.int64(5)).point_count == 121
+    def test_numpy_integer_n_accepted(self):
+        spec = GridSpec.create(np.int64(2), 1.0, 0.1)
+        assert type(spec.n) is int and spec.point_count == 24025
 
     @pytest.mark.parametrize("M", [float("nan"), float("inf"), 0.0, -1.0])
     def test_bad_M_rejected_by_constructor(self, M):
         with pytest.raises(InvalidInputError, match="M must be"):
-            GridSpec(2, M, 0.1, 5)
+            GridSpec(2, M, 0.1)
 
     def test_rule_minimality_in_floats(self, alarm):
         # k up to about 1e38, where stepping k by 1 would never end
