@@ -5,6 +5,9 @@ one-line summary, and maps failures onto fixed exit codes:
 0 success, 1 verification/hypothesis failure, 2 invalid input, 3 resource
 cap exceeded.  Structured error names go to stderr.  ``main`` may be called
 many times in one process; all calls share one parser, built on the first.
+Importing this module loads no scipy: only ``hausdorff``, ``holes``,
+``index-check`` and the ``containment``, ``uniqueness`` and ``bricks``
+suites of ``verify`` import it, on first use.
 """
 from __future__ import annotations
 

@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, as_index
 
 HERMITIZATION_TOL = 1e-12
 
@@ -189,6 +189,7 @@ def random_almost_commuting(n: int, dim: int, delta: float, seed: int,
         raise InvalidInputError("n and dim must be >= 1")
     if not 0 < delta < 1:
         raise InvalidInputError("delta must lie in (0, 1)")
+    seed = as_index(seed, "seed must be an integer >= 0", 0)
     rng = np.random.default_rng(seed)
     U = _random_unitary(dim, rng)
     ops = []

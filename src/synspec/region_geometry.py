@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import (
     EmptyInputError,
@@ -148,7 +147,7 @@ class RegionTopology:
 
 
 _STRUCT_8 = np.ones((3, 3), dtype=bool)
-_STRUCT_4 = ndimage.generate_binary_structure(2, 1)
+_STRUCT_4 = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
 
 def region_topology(R, resolution: float) -> RegionTopology:
@@ -172,6 +171,7 @@ def region_topology(R, resolution: float) -> RegionTopology:
         raise UnsupportedDimensionError("topology is implemented for n = 2 only")
     if not 0 < resolution <= r / 10 + 1e-12:
         raise InvalidInputError("resolution must lie in (0, r/10]")
+    from scipy import ndimage
 
     lo = np.minimum(c.min(axis=0), -1.0) - 2 * r
     hi = np.maximum(c.max(axis=0), 1.0) + 2 * r
@@ -179,7 +179,9 @@ def region_topology(R, resolution: float) -> RegionTopology:
     xs, ys = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([xs.ravel(), ys.ravel()], axis=1)
     if isinstance(R, BallUnion):
-        d, _ = R.tree.query(pts)
+        # the bound admits d = eta and stops the search past it (d = inf)
+        d, _ = R.tree.query(pts,
+                            distance_upper_bound=np.nextafter(R.eta, np.inf))
         mask = (d <= R.eta).reshape(xs.shape)
     else:
         mask = R.contains_points(pts).reshape(xs.shape)

@@ -22,8 +22,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy import ndimage
-from scipy.spatial import cKDTree
 
 from .errors import (
     EmptyRegionError,
@@ -176,8 +174,9 @@ class BallUnion:
         return self.centers.shape[0] == 0
 
     @cached_property
-    def tree(self) -> cKDTree:
-        """KD-tree over the centers, built on first use."""
+    def tree(self):
+        """``scipy.spatial.cKDTree`` over the centers, built on first use."""
+        from scipy.spatial import cKDTree
         return cKDTree(self.centers)
 
     def distance_to_points(self, points: np.ndarray) -> np.ndarray:
@@ -353,23 +352,32 @@ def hausdorff_distance(A: BallUnion, B: BallUnion, resolution: float) -> float:
 
     Rasterizes both regions on a common cubic grid of the given pitch; the
     result is within sqrt(n)*resolution of the true Hausdorff distance and
-    symmetric by construction.
+    symmetric by construction.  The pitch may not exceed 2 min(r_A, r_B) /
+    sqrt(n), the coarsest at which every ball still holds a raster node.
     """
     if A.n != B.n:
         raise InvalidInputError("ambient dimensions differ")
-    if not 0 < resolution < np.inf:
-        raise InvalidInputError("resolution must be positive and finite")
+    n = A.n
+    if not 0 < resolution <= 2 * min(A.eta, B.eta) / math.sqrt(n):
+        raise InvalidInputError("resolution must lie in (0, 2 min(r_A, r_B) "
+                                "/ sqrt(n)], or a ball may hold no node")
     if A.is_empty or B.is_empty:
         raise EmptyRegionError("Hausdorff distance to an empty region")
-    n = A.n
+    from scipy import ndimage
     lo = np.minimum(A.centers.min(axis=0) - A.eta, B.centers.min(axis=0) - B.eta)
     hi = np.maximum(A.centers.max(axis=0) + A.eta, B.centers.max(axis=0) + B.eta)
     axes = raster_axes(lo - resolution, hi + 2 * resolution, resolution)
     grids = np.meshgrid(*axes, indexing="ij")
     pts = np.stack(grids, axis=-1).reshape(-1, n)
     shape = grids[0].shape
-    mask_a = (A.distance_to_points(pts) <= 1e-12).reshape(shape)
-    mask_b = (B.distance_to_points(pts) <= 1e-12).reshape(shape)
+    masks = []
+    for R in (A, B):
+        # a node lies in R when d - r <= 1e-12 for its distance d to the
+        # centers; the bound admits every such d and stops the search past it
+        bound = np.nextafter(R.eta + 2e-12, np.inf)
+        d, _ = R.tree.query(pts, distance_upper_bound=bound)
+        masks.append((d - R.eta <= 1e-12).reshape(shape))
+    mask_a, mask_b = masks
     if not mask_a.any() or not mask_b.any():
         raise EmptyRegionError("a region rasterized to nothing; lower resolution")
     dist_to_b = ndimage.distance_transform_edt(~mask_b) * resolution

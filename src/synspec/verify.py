@@ -11,9 +11,9 @@ from __future__ import annotations
 import zlib
 
 import numpy as np
-from scipy.spatial import cKDTree
 
-from .errors import GaplessCertificateError, InvalidInputError, as_index
+from .errors import (GaplessCertificateError, InvalidInputError,
+                     PointOnEssentialSpectrumError, as_index)
 from .obstructions import (
     bott_index,
     certified_distance_bound,
@@ -35,7 +35,6 @@ from .symbol_models import (
     TruncationFamily,
     fredholm_index,
     quasicentral_family,
-    symbol_curve,
 )
 from .synthetic_spectrum import (
     BallUnion,
@@ -242,6 +241,7 @@ def brick_cover_facts(X: np.ndarray, k: int, cover) -> dict | None:
     offs = np.stack(np.meshgrid(*([axes] * n), indexing="ij"),
                     axis=-1).reshape(-1, n)
     offs = np.vstack([offs, np.full((1, n), 0.5)]) / k
+    from scipy.spatial import cKDTree
     d, _ = cKDTree(X).query((lo[:, None, :] + offs[None]).reshape(-1, n))
     if d.max() > np.sqrt(n) / k + 1e-9:
         return {"fact": "iii", "max_dist": float(d.max())}
@@ -294,10 +294,31 @@ def _suite_bricks(trials: int, seed: int) -> dict:
 
 
 def winding_oracle(op: SymbolOperator, lam: complex) -> int:
-    """Winding of the symbol curve around lam: summed steps over 10^4 samples."""
-    v = symbol_curve(op, 10 ** 4) - lam
-    steps = np.angle(np.roll(v, -1) / v)
-    return int(round(float(steps.sum()) / (2 * np.pi)))
+    """Winding of the symbol curve around lam, counted from polynomial roots.
+
+    With a = max(0, -min m), p(z) = z^a (s(z) - lam) is a polynomial, and by
+    the argument principle the winding is the number of roots of p inside
+    the unit circle minus a (the Toeplitz index theorem of Gohberg and
+    Krein).  The roots come from ``np.roots``, after coefficients below eps
+    times the largest are set to 0; a root within 1e-8 of the circle, or
+    p = 0, raises PointOnEssentialSpectrumError.
+    """
+    a = max(0, -min(op.coeffs))
+    coef = np.zeros(a + max(0, max(op.coeffs)) + 1, dtype=complex)
+    for m, c in op.coeffs.items():
+        coef[m + a] += c
+    coef[a] -= lam
+    if not coef.any():
+        raise PointOnEssentialSpectrumError("the symbol is constant at lambda")
+    # a coefficient below eps times the largest moves p by less than its
+    # rounding, and as the leading one it would overflow the companion matrix
+    coef[np.abs(coef) < np.finfo(float).eps * np.abs(coef).max()] = 0
+    radii = np.abs(np.roots(coef[::-1]))
+    if radii.size and np.abs(radii - 1).min() < 1e-8:
+        raise PointOnEssentialSpectrumError(
+            "a root lies within 1e-8 of the unit circle"
+        )
+    return int((radii < 1).sum()) - a
 
 
 def _suite_winding(trials: int, seed: int) -> dict:
@@ -471,4 +492,5 @@ def run_suite(suite: str, trials: int = 50, seed: int = 0) -> dict:
             "unknown suite %r (choose from %s)" % (suite, ", ".join(SUITES))
         )
     trials = as_index(trials, "trials must be an integer >= 1", 1)
+    seed = as_index(seed, "seed must be an integer >= 0", 0)
     return _SUITE_FNS[suite](trials, seed)

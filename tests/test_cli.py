@@ -2,10 +2,14 @@ import argparse
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import synspec
 from synspec import (InvalidInputError, OperatorTuple, SymbolOperator,
                      random_almost_commuting)
 from synspec.cli import main
@@ -179,9 +183,14 @@ class TestGeometryCommands:
     ["gen", "symbol", "--coeff", "1=nan", "--out", "{out}"],
     ["gen", "symbol", "--coeff", "1=0,nan", "--out", "{out}"],
     ["index-check", "--symbol", "{nan_symbol}", "--eta", "0.1"],
+    ["gen", "random", "--n", "2", "--dim", "3", "--delta", "0.1",
+     "--seed", "-1", "--out", "{out}"],
+    ["verify", "--suite", "bricks", "--trials", "2", "--seed", "-1",
+     "--out", "{out}"],
 ], ids=["order-x", "order-trailing-comma", "sspec-M-nan", "sspec-M-inf",
         "approx-M-nan", "approx-M-inf", "spin-j-nan", "spin-j-inf",
-        "coeff-re-nan", "coeff-im-nan", "index-check-nan"])
+        "coeff-re-nan", "coeff-im-nan", "index-check-nan", "gen-seed-negative",
+        "verify-seed-negative"])
 def test_bad_input_exit_2(tmp_path, capsys, argv):
     T = random_almost_commuting(2, 4, 1e-2, 0).to_json()
     paths = {"out": tmp_path / "out.json"}
@@ -197,6 +206,13 @@ def test_bad_input_exit_2(tmp_path, capsys, argv):
 
 
 class TestIndexCheck:
+    def test_fine_eta_finishes(self, shift_json, capsys, alarm):
+        # 1.1M raster cells: a nearest-centre search without a distance
+        # bound took about 17 s on a 2-vCPU Xeon
+        assert main(["index-check", "--symbol", shift_json,
+                     "--eta", "0.02"]) == 1
+        assert "holes=1" in capsys.readouterr().out
+
     def test_shift_fails_exit_1(self, shift_json, capsys):
         code = main(["index-check", "--symbol", shift_json, "--eta", "0.1"])
         assert code == 1
@@ -275,6 +291,18 @@ class TestVerify:
     @pytest.mark.parametrize("suite", ["containment", "uniqueness"])
     def test_suite_passes(self, suite):
         assert run_suite(suite, trials=2, seed=0)["all_passed"]
+
+
+def test_import_loads_no_scipy():
+    # importing scipy costs a CLI process about 0.6 s, and bott, gen, sspec
+    # and approx never use it
+    src = os.path.dirname(os.path.dirname(synspec.__file__))
+    code = ("import sys; sys.path.insert(0, %r); import synspec.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+            % src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_unknown_command_exit_2():

@@ -455,6 +455,18 @@ class TestHausdorff:
         with pytest.raises(ResourceLimitError):
             hausdorff_distance(a, a, resolution)
 
+    def test_ball_smaller_than_a_cell_rejected(self):
+        # at pitch 0.0724 no node falls in A's second ball, which read 0.0
+        a = BallUnion(2, 0.0367, np.array([[0.137, -0.2302],
+                                           [2.1502, -0.2689]]))
+        b = BallUnion(2, 0.0367, a.centers[:1])
+        with pytest.raises(InvalidInputError, match="resolution"):
+            hausdorff_distance(a, b, 0.0724)
+        res = 0.0367
+        d = hausdorff_distance(a, b, res)
+        true = np.linalg.norm(a.centers[1] - a.centers[0])
+        assert abs(d - true) <= np.sqrt(2) * res
+
     @pytest.mark.parametrize("resolution", [0.0, np.nan, np.inf])
     def test_bad_resolution(self, resolution):
         a = BallUnion(2, 0.1, np.array([[0.0, 0.0]]))
