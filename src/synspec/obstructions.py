@@ -13,6 +13,7 @@ approximant search is a Jacobi-type simultaneous diagonalization.
 """
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -35,12 +36,14 @@ from .synthetic_spectrum import (
     BallUnion,
     GridSpec,
     _check_cap,
-    bump_weights,
+    bump,
     inclusion_threshold,
 )
 
 CERTIFICATE_GAP_FLOOR = 1e-8
 CIRCLE_SAMPLES = 4096
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -64,7 +67,11 @@ def certificate_matrix(H1: HermitianMatrix, H2: HermitianMatrix,
     if not (H1.dim == H2.dim == H3.dim):
         raise InvalidInputError("certificate needs a shared dimension")
     a, b, c = H1.entries, H2.entries, H3.entries
-    return np.block([[c, a - 1j * b], [a + 1j * b, -c]])
+    d = H1.dim
+    B = np.empty((2 * d, 2 * d), dtype=complex)
+    B[:d, :d], B[:d, d:] = c, a - 1j * b
+    B[d:, :d], B[d:, d:] = a + 1j * b, -c
+    return B
 
 
 def bott_index(H1: HermitianMatrix, H2: HermitianMatrix,
@@ -275,6 +282,17 @@ def scalar_synthetic_spectrum(op: SymbolOperator, eta: float) -> tuple:
     points of the circle.  Returns (BallUnion, sampling error bound) where
     the bound is the observed modulus of continuity of the sampled curve.
     A grid above DEFAULT_GRID_CAP points raises ResourceLimitError.
+
+    A grid point (c1, c2) is a center when some sample s has
+    fl(w1 * w2) >= threshold, w_i = theta_{c_i,eta}(a_i(s)).  Weights lie in
+    [0, 1], so fl(w1 * w2) <= w1: only rows where w1 reaches the threshold
+    can score.  Computed weights fall monotonically in |a - c|, so a
+    sample's plateau rows (w1 == 1) and the columns a row scores are runs.
+    The plateau rows all score the columns where w2 reaches the threshold,
+    one rectangle per sample; only the fringe rows (w1 < 1) are multiplied
+    out, one row each.  A 2-D difference array unites the rectangles.  At
+    DEBUG the module logger prints ``samples``, ``plateau`` and ``fringe``,
+    the (row, sample) pairs of each kind.
     """
     spec = GridSpec.create(2, 1.0, eta)
     curve = op.eval(_circle(CIRCLE_SAMPLES))
@@ -285,21 +303,56 @@ def scalar_synthetic_spectrum(op: SymbolOperator, eta: float) -> tuple:
         )
     _check_cap(spec.point_count)
     coords = spec.axis_coords()
-    w1 = bump_weights(coords, a1, eta)
-    # one row per circle sample, so a sample's weights are one row gather
-    w2 = np.ascontiguousarray(bump_weights(coords, a2, eta).T)
+    g = coords.size
     thresh = inclusion_threshold(eta)
-    hits = []
-    for i1 in range(coords.size):
-        # fl(w1 * w2) <= w1, so only samples where w1 reaches thresh can score
-        cols = np.nonzero(w1[i1] >= thresh)[0]
-        vals = (w2[cols] * w1[i1, cols, None]).max(axis=0, initial=0.0)
-        hits.append(np.nonzero(vals >= thresh)[0])
-    i1 = np.repeat(np.arange(coords.size), [h.size for h in hits])
-    centers = np.stack([coords[i1], coords[np.concatenate(hits)]], axis=1)
-    region = BallUnion(2, eta, centers, spec)
+    (lo1, w1), (lo2, w2) = (_bump_window(coords, a, eta) for a in (a1, a2))
+    # a sample's plateau rows (w1 == 1) score its run of columns where w2
+    # reaches the threshold, one rectangle per sample; a fringe pair
+    # (threshold <= w1 < 1) scores the run of its products, one row
+    p0, p1, plateau = _runs(w1 == 1.0)
+    c0, c1, scores = _runs(w2 >= thresh)
+    on = plateau & scores
+    s, off = np.nonzero((w1 >= thresh) & (w1 < 1.0))
+    f0, f1, hit = _runs(w1[s, off, None] * w2[s] >= thresh)
+    s, off = s[hit], off[hit]
+    rows = (np.concatenate([lo1[on] + p0[on], lo1[s] + off]),
+            np.concatenate([lo1[on] + p1[on], lo1[s] + off + 1]))
+    cols = (np.concatenate([lo2[on] + c0[on], lo2[s] + f0[hit]]),
+            np.concatenate([lo2[on] + c1[on], lo2[s] + f1[hit]]))
+    # +1 at each rectangle's near and far corners, -1 at the other two, so
+    # a 2-D prefix sum counts the rectangles over each grid point
+    at = [r * (g + 1) + c for r in rows for c in cols]
+    size = (g + 1) ** 2
+    cover = (np.bincount(np.concatenate([at[0], at[3]]), minlength=size)
+             - np.bincount(np.concatenate([at[1], at[2]]), minlength=size))
+    cover = cover.reshape(g + 1, g + 1).cumsum(axis=0).cumsum(axis=1)
+    i1, i2 = np.nonzero(cover[:g, :g] > 0)
+    log.debug("quotient spectrum samples=%d plateau=%d fringe=%d", a1.size,
+              (p1 - p0)[plateau].sum(), hit.size)
+    region = BallUnion(2, eta, np.stack([coords[i1], coords[i2]], axis=1), spec)
     hop = float(np.abs(np.diff(np.append(curve, curve[0]))).max())
     return region, hop
+
+
+def _bump_window(coords: np.ndarray, vals: np.ndarray, eta: float) -> tuple:
+    """Each value's bump weights over the coords within eta of it.
+
+    Returns (lo, w): value j weighs coords[lo[j] + t] by w[j, t], which is
+    ``bump``'s value, and every coord outside its window by 0.  Windows share
+    one width and are shifted to stay inside the grid.
+    """
+    first = np.searchsorted(coords, vals - eta) - 1
+    width = min(int((np.searchsorted(coords, vals + eta, "right") + 1
+                     - first).max()), coords.size)
+    lo = np.clip(first, 0, coords.size - width)
+    idx = lo[:, None] + np.arange(width)
+    return lo, bump(coords[idx], vals[:, None], eta)
+
+
+def _runs(hit: np.ndarray) -> tuple:
+    """Per row of ``hit``: the first True column, one past the last, any."""
+    return (hit.argmax(axis=1), hit.shape[1] - hit[:, ::-1].argmax(axis=1),
+            hit.any(axis=1))
 
 
 def index_hypothesis_check(op: SymbolOperator, eta: float) -> IndexCheckReport:

@@ -8,6 +8,7 @@ representative test point per bounded complement component ("hole").
 """
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +20,9 @@ from .errors import (
     UnsupportedDimensionError,
     as_index,
 )
-from .synthetic_spectrum import BallUnion, raster_axes, unique_rows
+from .synthetic_spectrum import BallUnion, _check_cap, raster_axes, unique_rows
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -59,10 +62,40 @@ class BrickSet:
             return np.zeros(pts.shape[0], dtype=bool)
         cand, valid = _touching_bricks(pts, self.k, 1e-12 * self.k)
         shape = (2 * self.k,) * self.n
+        # sorted corners ravel to sorted keys, so membership is a binary search
         keys = np.ravel_multi_index(tuple((self.corners + self.k).T), shape)
         flat = np.ravel_multi_index(tuple(np.moveaxis(cand + self.k, -1, 0)),
                                     shape, mode="clip")
-        return (valid & np.isin(flat, keys)).any(axis=1)
+        pos = np.minimum(np.searchsorted(keys, flat), keys.size - 1)
+        return (valid & (keys[pos] == flat)).any(axis=1)
+
+    def raster_mask(self, axes: list) -> np.ndarray:
+        """``contains_points`` over the raster ``axes`` (ij order).
+
+        Each axis's touching range is computed once per coordinate, with
+        ``_touching_bricks``'s arithmetic, and a node reads the occupancy
+        table of the (2k)^n bricks at its candidates, refused above the grid
+        cap (``region_topology``'s raster has at least 100 times as many
+        nodes).  At DEBUG the module logger prints ``cells``, ``decided`` (all
+        of them) and ``queried`` (0).
+        """
+        _check_cap((2 * self.k) ** self.n)
+        occ = np.zeros((2 * self.k,) * self.n, dtype=bool)
+        occ[tuple((self.corners + self.k).T)] = True
+        ranges = [_touching_bricks(a[:, None], self.k, 1e-12 * self.k)
+                  for a in axes]
+        mask = np.zeros([a.size for a in axes], dtype=bool)
+        for offs in np.ndindex(*[cand.shape[1] for cand, _ in ranges]):
+            # candidate o of each axis, where it lies in that axis's range
+            sel = [(cand[:, o, 0] + self.k, valid[:, o])
+                   for (cand, valid), o in zip(ranges, offs)]
+            hit = occ[np.ix_(*[np.clip(c, 0, 2 * self.k - 1) for c, _ in sel])]
+            for axis, (_, v) in enumerate(sel):
+                hit &= v.reshape([-1 if i == axis else 1
+                                  for i in range(self.n)])
+            mask |= hit
+        log.debug("raster cells=%d decided=%d queried=0", mask.size, mask.size)
+        return mask
 
     def to_json(self) -> dict:
         return {"n": self.n, "k": self.k, "corners": self.corner_points().tolist()}
@@ -70,8 +103,8 @@ class BrickSet:
     @classmethod
     def from_json(cls, obj: dict) -> "BrickSet":
         try:
-            n = int(obj["n"])
-            k = int(obj["k"])
+            n = as_index(obj["n"], "n must be an integer >= 1", 1)
+            k = as_index(obj["k"], "k must be an integer >= 1", 1)
             corners = np.asarray(obj["corners"], dtype=float).reshape(-1, n)
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInputError("malformed brick-set JSON: %s" % exc)
@@ -176,32 +209,32 @@ def region_topology(R, resolution: float) -> RegionTopology:
     lo = np.minimum(c.min(axis=0), -1.0) - 2 * r
     hi = np.maximum(c.max(axis=0), 1.0) + 2 * r
     axes = raster_axes(lo, hi + resolution / 2, resolution)
-    xs, ys = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([xs.ravel(), ys.ravel()], axis=1)
     if isinstance(R, BallUnion):
-        # the bound admits d = eta and stops the search past it (d = inf)
-        d, _ = R.tree.query(pts,
-                            distance_upper_bound=np.nextafter(R.eta, np.inf))
-        mask = (d <= R.eta).reshape(xs.shape)
+        # the bound admits d = eta
+        mask = R.raster_mask(axes, np.nextafter(R.eta, np.inf),
+                             lambda d: d <= R.eta)
     else:
-        mask = R.contains_points(pts).reshape(xs.shape)
+        mask = R.raster_mask(axes)
     if not mask.any():
         raise EmptyRegionError("region rasterized to nothing; lower resolution")
 
     _, ncomp = ndimage.label(mask, structure=_STRUCT_8)
-    comp_labels, nholes = ndimage.label(~mask, structure=_STRUCT_4)
+    comp_labels, _ = ndimage.label(~mask, structure=_STRUCT_4)
     border = np.zeros_like(mask)
     border[0, :] = border[-1, :] = border[:, 0] = border[:, -1] = True
     unbounded = set(np.unique(comp_labels[border & ~mask]))
-    dist = ndimage.distance_transform_edt(~mask) * resolution
 
     holes = []
-    for lbl in range(1, nholes + 1):
+    for lbl, box in enumerate(ndimage.find_objects(comp_labels), 1):
         if lbl in unbounded:
             continue
-        cells = comp_labels == lbl
-        idx = np.argwhere(cells)
-        depth = dist[cells]
+        # only the hole's bounding box grown by one cell is scanned: a cell
+        # next to a hole cell is in the hole or in R, so walking from a hole
+        # cell toward any cell of R outside that box meets a nearer one in it
+        box = tuple(slice(sl.start - 1, sl.stop + 1) for sl in box)
+        cells = comp_labels[box] == lbl
+        idx = np.argwhere(cells) + [sl.start for sl in box]
+        depth = ndimage.distance_transform_edt(~mask[box])[cells] * resolution
         dmax = depth.max()
         cand = idx[depth >= dmax - 1e-12]
         centroid = idx.mean(axis=0)

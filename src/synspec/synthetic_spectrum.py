@@ -187,6 +187,42 @@ class BallUnion:
         d, _ = self.tree.query(pts)
         return np.maximum(0.0, d - self.eta)
 
+    def raster_mask(self, axes: list, bound: float, inside) -> np.ndarray:
+        """Mask of the nodes of the raster ``axes`` (ij order) whose distance d
+        to the nearest center passes ``inside(d)``.
+
+        ``inside`` must hold for d <= eta and fail for d > bound.  The exact
+        Euclidean distance transform (Maurer, Qi & Raghavan 2003) of the
+        centers snapped to their nearest nodes gives each node a distance ds
+        within e of d, with e the largest snap plus the nodes' rounding, so
+        ds <= eta - e is inside and ds > bound + e is outside; only the band
+        between meets a KD-tree query, which is bounded by ``bound``.  At
+        DEBUG the module logger prints ``cells``, ``decided`` and ``queried``.
+        """
+        from scipy import ndimage
+        step = [a[1] - a[0] if a.size > 1 else 1.0 for a in axes]
+        idx = [np.clip(np.round((c - a[0]) / s), 0, a.size - 1).astype(int)
+               for a, c, s in zip(axes, self.centers.T, step)]
+        snap = np.stack([a[i] for a, i in zip(axes, idx)], axis=1) - self.centers
+        # node i of an axis lies within dev of a[0] + i*step (np.arange puts it
+        # on that line up to rounding), which each axis can add twice to |p-q|
+        dev = max(np.abs(a - (a[0] + np.arange(a.size) * s)).max()
+                  for a, s in zip(axes, step))
+        scale = max(np.abs(a).max() for a in axes)
+        e = (np.sqrt((snap ** 2).sum(axis=1)).max() + 2 * self.n * dev
+             + 1e-9 * (1.0 + scale))
+        free = np.ones([a.size for a in axes], dtype=bool)
+        free[tuple(idx)] = False
+        ds = ndimage.distance_transform_edt(free, sampling=step)
+        mask = ds <= self.eta - e
+        band = np.nonzero(~mask & (ds <= bound + e))
+        pts = np.stack([a[i] for a, i in zip(axes, band)], axis=1)
+        d, _ = self.tree.query(pts, distance_upper_bound=bound)
+        mask[band] = inside(d)
+        log.debug("raster cells=%d decided=%d queried=%d", mask.size,
+                  mask.size - pts.shape[0], pts.shape[0])
+        return mask
+
     def to_json(self) -> dict:
         return {
             "n": self.n,
@@ -198,7 +234,7 @@ class BallUnion:
     @classmethod
     def from_json(cls, obj: dict) -> "BallUnion":
         try:
-            n = int(obj["n"])
+            n = as_index(obj["n"], "n must be an integer >= 1", 1)
             eta = float(obj["eta"])
             centers = np.asarray(obj["centers"], dtype=float).reshape(-1, n)
         except (KeyError, TypeError, ValueError) as exc:
@@ -206,10 +242,14 @@ class BallUnion:
         return cls(n, eta, centers)
 
 
+def bump(c, lam, eta: float) -> np.ndarray:
+    """theta_{c,eta}(lambda), elementwise over broadcast c and lambda."""
+    return np.clip((eta - np.abs(lam - c)) * (4.0 / eta), 0.0, 1.0)
+
+
 def bump_weights(coords: np.ndarray, eigvals: np.ndarray, eta: float) -> np.ndarray:
     """theta_{c,eta}(lambda) for every coord c (rows) and eigenvalue (cols)."""
-    d = np.abs(eigvals[None, :] - coords[:, None])
-    return np.clip((eta - d) * (4.0 / eta), 0.0, 1.0)
+    return bump(coords[:, None], eigvals[None, :], eta)
 
 
 def _axis_order(order: tuple | None, n: int) -> tuple:
@@ -367,17 +407,11 @@ def hausdorff_distance(A: BallUnion, B: BallUnion, resolution: float) -> float:
     lo = np.minimum(A.centers.min(axis=0) - A.eta, B.centers.min(axis=0) - B.eta)
     hi = np.maximum(A.centers.max(axis=0) + A.eta, B.centers.max(axis=0) + B.eta)
     axes = raster_axes(lo - resolution, hi + 2 * resolution, resolution)
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack(grids, axis=-1).reshape(-1, n)
-    shape = grids[0].shape
-    masks = []
-    for R in (A, B):
-        # a node lies in R when d - r <= 1e-12 for its distance d to the
-        # centers; the bound admits every such d and stops the search past it
-        bound = np.nextafter(R.eta + 2e-12, np.inf)
-        d, _ = R.tree.query(pts, distance_upper_bound=bound)
-        masks.append((d - R.eta <= 1e-12).reshape(shape))
-    mask_a, mask_b = masks
+    # a node lies in R when d - r <= 1e-12 for its distance d to the centers;
+    # the bound admits every such d
+    mask_a, mask_b = (R.raster_mask(axes, np.nextafter(R.eta + 2e-12, np.inf),
+                                    lambda d, r=R.eta: d - r <= 1e-12)
+                      for R in (A, B))
     if not mask_a.any() or not mask_b.any():
         raise EmptyRegionError("a region rasterized to nothing; lower resolution")
     dist_to_b = ndimage.distance_transform_edt(~mask_b) * resolution

@@ -171,6 +171,22 @@ class TestGeometryCommands:
         assert "corners must be finite" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("command, obj", [
+        ("holes", {"n": 2, "k": 2.5, "corners": [[0, 0], [0.5, 0]]}),
+        ("holes", {"n": 2.7, "k": 2, "corners": [[0, 0], [0.5, 0]]}),
+        ("holes", {"n": 2.7, "eta": 0.2, "centers": [[0.0, 0.0]]}),
+        ("hausdorff", {"n": 2.7, "eta": 0.2, "centers": [[0.0, 0.0]]}),
+    ], ids=["holes-bricks-k", "holes-bricks-n", "holes-balls-n", "hausdorff-n"])
+    def test_non_integral_n_or_k_exit_2(self, tmp_path, capsys, command, obj):
+        # int() loaded the k = 2.5 set as k = 2 with corners [0, 0], [1, 0]
+        path = tmp_path / "region.json"
+        path.write_text(json.dumps(obj))
+        inputs = {"hausdorff": ["--a", str(path), "--b", str(path)],
+                  "holes": ["--input", str(path)]}[command]
+        assert main([command, *inputs, "--resolution", "0.01"]) == 2
+        assert "must be an integer" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["sspec", "--input", "{T}", "--eta", "0.2", "--order", "x"],
     ["sspec", "--input", "{T}", "--eta", "0.2", "--order", "0,1,"],

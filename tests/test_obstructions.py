@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -84,6 +85,15 @@ class TestBottIndex:
         assert np.allclose(w, [-3, 1, 1, 1], atol=1e-10)
         assert rep.value == 1
         assert rep.gap == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("triple", [PAULI, spin_triple(10).ops,
+                                        random_almost_commuting(3, 7, 0.1, 3).ops],
+                             ids=["pauli", "spin-10", "random-7"])
+    def test_certificate_equals_block_matrix(self, triple):
+        a, b, c = (h.entries for h in triple)
+        want = np.block([[c, a - 1j * b], [a + 1j * b, -c]])
+        got = certificate_matrix(*triple)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_spin_j20(self):
         T = spin_triple(20)
@@ -340,6 +350,47 @@ class TestIndexHypothesisCheck:
             assert np.array_equal(region.centers,
                                   np.asarray(centers).reshape(-1, 2))
             assert hop == float(np.abs(np.diff(np.append(curve, curve[0]))).max())
+
+    @pytest.mark.parametrize("coeffs", [
+        {1: 1.0},
+        {-1: 0.5, 1: 0.5},
+        {0: 1.0},
+        {0: -1j},
+        {0: 0.5 + 0.5j, 1: 0.5},
+        {-3: 0.2 - 0.15j, 0: 0.1 + 0.05j, 5: 0.4j},
+    ], ids=["circle", "segment", "point-1", "point-minus-i", "corner-circle",
+            "mixed"])
+    def test_scalar_spectrum_matches_dense_rows_at_more_scales(self, coeffs):
+        # curves that touch +-1, where bump windows clip at the grid edge; the
+        # dense rows skip only samples of zero weight, whose products are 0
+        op = SymbolOperator(coeffs)
+        curve = op.eval(np.exp(2j * np.pi * np.arange(4096) / 4096))
+        for eta in (0.02, 0.45, 0.7):
+            coords = GridSpec.create(2, 1.0, eta).axis_coords()
+            w1 = bump_weights(coords, curve.real, eta)
+            w2 = bump_weights(coords, curve.imag, eta)
+            thresh = inclusion_threshold(eta)
+            centers = []
+            for i1 in range(coords.size):
+                live = w1[i1] > 0
+                score = (w2[:, live] * w1[i1, live]).max(axis=1, initial=0.0)
+                centers += [(coords[i1], coords[i2])
+                            for i2 in np.nonzero(score >= thresh)[0]]
+            region, _ = scalar_synthetic_spectrum(op, eta)
+            assert np.array_equal(region.centers, np.asarray(centers).reshape(-1, 2))
+
+    def test_quotient_counts_logged(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="synspec.obstructions")
+        op, eta = SymbolOperator.shift(), 0.1
+        scalar_synthetic_spectrum(op, eta)
+        curve = op.eval(np.exp(2j * np.pi * np.arange(4096) / 4096))
+        coords = GridSpec.create(2, 1.0, eta).axis_coords()
+        w1 = bump_weights(coords, curve.real, eta)
+        plateau = int((w1 == 1.0).sum())
+        fringe = int(((w1 >= inclusion_threshold(eta)) & (w1 < 1.0)).sum())
+        assert caplog.messages == ["quotient spectrum samples=4096 plateau=%d "
+                                   "fringe=%d" % (plateau, fringe)]
+        assert plateau > 10 * fringe > 0
 
     @pytest.mark.parametrize("eta", [0.003, 1e-17])
     def test_quotient_grid_cap(self, eta):

@@ -108,6 +108,12 @@ class TestBrickSet:
         with pytest.raises(InvalidInputError, match="integer"):
             brick_cover(np.array([[0.1, 0.1]]), 2.5)
 
+    def test_raster_table_capped(self):
+        # the occupancy table of k = 1000 bricks in 3-D has 8e9 cells
+        b = BrickSet(3, 1000, np.array([[0, 0, 0]]))
+        with pytest.raises(ResourceLimitError):
+            b.raster_mask([np.zeros(1)] * 3)
+
     def test_json_roundtrip(self):
         b = BrickSet(2, 10, np.array([[0, 0], [-3, 2]]))
         back = BrickSet.from_json(b.to_json())
@@ -116,6 +122,17 @@ class TestBrickSet:
     def test_from_json_off_lattice(self):
         with pytest.raises(InvalidInputError):
             BrickSet.from_json({"n": 1, "k": 10, "corners": [[0.123]]})
+
+    @pytest.mark.parametrize("obj", [
+        {"n": 2, "k": 2.5, "corners": [[0, 0], [0.5, 0]]},
+        {"n": 2.7, "k": 2, "corners": [[0, 0], [0.5, 0]]},
+        {"n": 2, "k": 2.0, "corners": [[0, 0]]},
+        {"n": "2", "k": 2, "corners": [[0, 0]]},
+    ], ids=["k-2.5", "n-2.7", "k-2.0", "n-string"])
+    def test_from_json_non_integral_n_or_k_rejected(self, obj):
+        # int() read k = 2.5 as 2, and the corner 0.5 as lattice point 1
+        with pytest.raises(InvalidInputError, match="must be an integer"):
+            BrickSet.from_json(obj)
 
 
 class TestRegionTopology:
@@ -184,6 +201,23 @@ class TestRegionTopology:
         topo = region_topology(b, 0.02)
         assert topo.component_count == 1
         assert len(topo.holes) == 1
+
+    def test_brick_lattice_holes(self, alarm):
+        # every other row and column of k = 50 bricks: 49^2 holes, each the
+        # 9 x 9 nodes inside one empty brick; a full raster scan per hole
+        # took over 5 s
+        k = 50
+        i, j = np.meshgrid(np.arange(-k, k), np.arange(-k, k), indexing="ij")
+        keep = (i % 2 == 0) | (j % 2 == 0)
+        bricks = BrickSet(2, k, np.stack([i[keep], j[keep]], axis=1))
+        topo = region_topology(bricks, 1 / (10 * k))
+        assert topo.component_count == 1
+        assert len(topo.holes) == 49 ** 2
+        assert {h.cell_count for h in topo.holes} == {81}
+        centers = (np.arange(-k + 1, k - 1, 2) + 0.5) / k
+        reps = np.array([h.representative for h in topo.holes])
+        assert np.abs(reps - np.stack(np.meshgrid(centers, centers, indexing="ij"),
+                                      axis=-1).reshape(-1, 2)).max() < 1e-9
 
     def test_rejects_3d(self):
         b = BallUnion(3, 0.2, np.array([[0.0, 0.0, 0.0]]))

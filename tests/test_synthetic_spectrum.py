@@ -232,6 +232,12 @@ class TestBallUnion:
         assert np.allclose(back.centers, b.centers)
         assert back.eta == b.eta
 
+    @pytest.mark.parametrize("n", [2.7, 2.0, "2"])
+    def test_from_json_non_integral_n_rejected(self, n):
+        # int() read n = 2.7 as 2
+        with pytest.raises(InvalidInputError, match="must be an integer"):
+            BallUnion.from_json({"n": n, "eta": 0.1, "centers": [[0.0, 0.0]]})
+
 
 class TestBigThetaNorm:
     def test_joint_eigenvector(self):
