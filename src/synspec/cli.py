@@ -46,9 +46,10 @@ def _load_json(path: str) -> dict:
         raise InvalidInputError("bad JSON in %s: %s" % (path, exc))
 
 
-def _write(obj, path: str | None):
+def _write(build, path: str | None):
+    """Dump the document ``build()`` to path; nothing is built without one."""
     if path:
-        dump_canonical(obj, path)
+        dump_canonical(build(), path)
 
 
 def _load_region(path: str):
@@ -63,12 +64,12 @@ def _load_region(path: str):
 def _cmd_gen(args) -> int:
     if args.kind == "spin-triple":
         T = spin_triple(args.j)
-        _write(T.to_json(), args.out)
+        _write(T.to_json, args.out)
         print("gen spin-triple: j=%g dim=%d -> %s" % (args.j, T.dim, args.out))
     elif args.kind == "random":
         T = random_almost_commuting(args.n, args.dim, args.delta, args.seed,
                                     exact=args.exact)
-        _write(T.to_json(), args.out)
+        _write(T.to_json, args.out)
         print("gen random: n=%d dim=%d delta=%g seed=%d -> %s"
               % (args.n, args.dim, args.delta, args.seed, args.out))
     else:  # symbol
@@ -89,7 +90,7 @@ def _cmd_gen(args) -> int:
                         "bad --coeff %r (expected m=re[,im])" % spec
                     )
             op = SymbolOperator(coeffs)
-        _write(op.to_json(), args.out)
+        _write(op.to_json, args.out)
         print("gen symbol: bandwidth=%d -> %s" % (op.bandwidth, args.out))
     return 0
 
@@ -105,7 +106,7 @@ def _cmd_sspec(args) -> int:
                                     % args.order)
     region = synthetic_spectrum(T, args.eta, order=order,
                                 grid_cap=args.grid_cap)
-    _write(region.to_json(), args.out)
+    _write(region.to_json, args.out)
     print("sspec: eta=%g k=%d centers=%d -> %s"
           % (args.eta, region.grid.k, region.centers.shape[0], args.out))
     return 0
@@ -115,7 +116,8 @@ def _cmd_hausdorff(args) -> int:
     A = BallUnion.from_json(_load_json(args.a))
     B = BallUnion.from_json(_load_json(args.b))
     d = hausdorff_distance(A, B, args.resolution)
-    _write({"hausdorff": d, "resolution": args.resolution}, args.out)
+    _write(lambda: {"hausdorff": d, "resolution": args.resolution},
+           args.out)
     print("hausdorff: %.6g (resolution %g)" % (d, args.resolution))
     return 0
 
@@ -123,7 +125,7 @@ def _cmd_hausdorff(args) -> int:
 def _cmd_holes(args) -> int:
     R = _load_region(args.input)
     topo = region_topology(R, args.resolution)
-    _write(topo.to_json(), args.out)
+    _write(topo.to_json, args.out)
     print("holes: components=%d holes=%d"
           % (topo.component_count, len(topo.holes)))
     return 0
@@ -132,7 +134,7 @@ def _cmd_holes(args) -> int:
 def _cmd_index_check(args) -> int:
     op = SymbolOperator.from_json(_load_json(args.symbol))
     report = index_hypothesis_check(op, args.eta)
-    _write(report.to_json(), args.out)
+    _write(report.to_json, args.out)
     print("index-check: holes=%d verdict=%s"
           % (len(report.holes), "pass" if report.verdict else "fail"))
     return 0 if report.verdict else 1
@@ -143,7 +145,7 @@ def _cmd_bott(args) -> int:
     if T.n != 3:
         raise InvalidInputError("bott needs a triple (n=3)")
     report = bott_index(*T.ops)
-    _write(report.to_json(), args.out)
+    _write(report.to_json, args.out)
     print("bott: value=%+d gap=%.6g bound=%.6g"
           % (report.value, report.gap, report.bound))
     return 0
@@ -152,7 +154,7 @@ def _cmd_bott(args) -> int:
 def _cmd_approx(args) -> int:
     T = OperatorTuple.from_json(_load_json(args.input))
     report = joint_diagonalize(T, tol=args.tol, max_sweeps=args.max_sweeps)
-    _write(report.to_json(), args.out)
+    _write(report.to_json, args.out)
     print("approx: sweeps=%d stop=%s max_distance=%.6g residual=%.3g"
           % (report.sweeps, report.stop_reason, report.max_distance,
              report.off_diag_residual))
@@ -161,7 +163,7 @@ def _cmd_approx(args) -> int:
 
 def _cmd_verify(args) -> int:
     report = run_suite(args.suite, trials=args.trials, seed=args.seed)
-    _write(report, args.out)
+    _write(lambda: report, args.out)
     for prop in report["properties"]:
         print("  [%s] %s" % ("pass" if prop["passed"] else "FAIL",
                              prop["name"]))

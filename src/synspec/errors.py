@@ -58,7 +58,10 @@ class ResourceLimitError(SynspecError):
 
 def as_index(value, message: str, least: int | None = None) -> int:
     """``operator.index(value)``, or InvalidInputError(message) when value is
-    not an integer (numpy integers pass) or is below ``least``."""
+    not an integer (numpy integers pass, booleans do not) or is below
+    ``least``."""
+    if isinstance(value, bool):
+        raise InvalidInputError(message)
     try:
         i = operator.index(value)
     except TypeError:

@@ -34,15 +34,18 @@ class HermitianMatrix:
         a = np.asarray(self.entries, dtype=complex)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
             raise InvalidInputError("expected a square matrix of dim >= 1")
-        if not np.all(np.isfinite(a)):
+        # max propagates NaN and inf, so one reduction also checks finiteness
+        amax = float(np.abs(a).max())
+        if not math.isfinite(amax):
             raise InvalidInputError("matrix has non-finite entries")
-        scale = 1.0 + float(np.abs(a).max())
-        dev = float(np.abs(a - a.conj().T).max())
+        scale = 1.0 + amax
+        ah = a.conj().T
+        dev = float(np.abs(a - ah).max())
         if dev > HERMITIZATION_TOL * scale:
             raise InvalidInputError(
                 "matrix is not self-adjoint (deviation %.3e)" % dev
             )
-        object.__setattr__(self, "entries", _as_readonly((a + a.conj().T) / 2))
+        object.__setattr__(self, "entries", _as_readonly((a + ah) / 2))
 
     @property
     def dim(self) -> int:
@@ -63,7 +66,7 @@ class HermitianMatrix:
     @classmethod
     def from_json(cls, obj: dict) -> "HermitianMatrix":
         try:
-            dim = int(obj["dim"])
+            dim = as_index(obj["dim"], "matrix dim must be an integer")
             re = np.asarray(obj["re"], dtype=float)
             im = np.asarray(obj["im"], dtype=float)
         except (KeyError, TypeError, ValueError) as exc:
@@ -91,11 +94,10 @@ class OperatorTuple:
             raise InvalidInputError("operators do not share a dimension")
         if not (math.isfinite(self.norm_bound) and self.norm_bound > 0):
             raise InvalidInputError("norm bound must be finite and positive")
-        for op in ops:
-            if op_norm(op) > self.norm_bound + 1e-9:
-                raise InvalidInputError(
-                    "operator norm exceeds the bound M=%g" % self.norm_bound
-                )
+        if _op_norms(ops).max() > self.norm_bound + 1e-9:
+            raise InvalidInputError(
+                "operator norm exceeds the bound M=%g" % self.norm_bound
+            )
         object.__setattr__(self, "ops", ops)
 
     @property
@@ -135,6 +137,12 @@ def op_norm(A: HermitianMatrix) -> float:
     """Operator norm of a Hermitian matrix: largest absolute eigenvalue."""
     w = np.linalg.eigvalsh(A.entries)
     return float(np.abs(w).max())
+
+
+def _op_norms(ops) -> np.ndarray:
+    """``op_norm`` of each of the same-dim ``ops``, from one stacked eigvalsh."""
+    w = np.linalg.eigvalsh(np.stack([op.entries for op in ops]))
+    return np.abs(w).max(axis=1)
 
 
 def commutator_norm(A: HermitianMatrix, B: HermitianMatrix) -> float:

@@ -308,7 +308,7 @@ def synthetic_spectrum(T: OperatorTuple, eta: float, *,
     _check_cap(spec.point_count, grid_cap)
     coords = spec.axis_coords()
     idx = _axis_order(order, T.n)
-    eigs = [np.linalg.eigh(T.ops[i].entries) for i in idx]
+    eigs = [T.ops[i].eigh for i in idx]
     W = [bump_weights(coords, w, eta) for w, _ in eigs]
     centers = _pruned_sweep(coords, eigs, W, inclusion_threshold(eta))
     if order is not None:
@@ -364,13 +364,14 @@ def _pruned_sweep(coords, eigs, W, thresh) -> np.ndarray:
                 # Gram matrix diag(w) K_s* G K_s diag(w), s the candidate's support:
                 # a middle level forms it for every pair left, as a kept pair's is
                 # the next state; the last level only for the undecided ones
-                # (eigvalsh reads one triangle)
+                # (eigvalsh reads one triangle; a chunk with none undecided skips it)
                 mp, mc = (p, c) if mid else (p[und], c[und])
                 w = ws[mc][:, :, None]
                 rows = mp[:, None], order[mc]
                 M = (Khb[rows] * w) @ (KH[rows] * w).conj().transpose(0, 2, 1)
-                ev = np.linalg.eigvalsh(M[und] if mid else M)[:, -1]
-                sel[und] = np.sqrt(np.clip(ev, 0.0, None)) >= thresh
+                if und.size:
+                    ev = np.linalg.eigvalsh(M[und] if mid else M)[:, -1]
+                    sel[und] = np.sqrt(np.clip(ev, 0.0, None)) >= thresh
                 solved += und.size
                 kept.append(np.stack([lo + p[sel], c[sel]]))
                 if mid:

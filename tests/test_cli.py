@@ -176,7 +176,11 @@ class TestGeometryCommands:
         ("holes", {"n": 2.7, "k": 2, "corners": [[0, 0], [0.5, 0]]}),
         ("holes", {"n": 2.7, "eta": 0.2, "centers": [[0.0, 0.0]]}),
         ("hausdorff", {"n": 2.7, "eta": 0.2, "centers": [[0.0, 0.0]]}),
-    ], ids=["holes-bricks-k", "holes-bricks-n", "holes-balls-n", "hausdorff-n"])
+        ("holes", {"n": True, "k": True, "corners": [[0]]}),
+        ("holes", {"n": True, "eta": 0.2, "centers": [[0.0]]}),
+        ("hausdorff", {"n": True, "eta": 0.2, "centers": [[0.0]]}),
+    ], ids=["holes-bricks-k", "holes-bricks-n", "holes-balls-n", "hausdorff-n",
+            "holes-bricks-true", "holes-balls-true", "hausdorff-true"])
     def test_non_integral_n_or_k_exit_2(self, tmp_path, capsys, command, obj):
         # int() loaded the k = 2.5 set as k = 2 with corners [0, 0], [1, 0]
         path = tmp_path / "region.json"
@@ -366,3 +370,52 @@ class TestSharedParser:
         for _ in range(50):
             assert main(["gen", "spin-triple", "--j", "1", "--out", str(out)]) == 0
         assert len(roots) <= 1
+
+
+class TestOutputOnlyUnderOut:
+    @pytest.fixture()
+    def inputs(self, tmp_path):
+        from synspec import BallUnion, spin_triple
+
+        paths = {name: str(tmp_path / (name + ".json"))
+                 for name in ("pair", "spin", "ring", "out")}
+        ang = 2 * np.pi * np.arange(12) / 12
+        ring = BallUnion(2, 0.15, 0.5 * np.stack([np.cos(ang), np.sin(ang)], 1))
+        for name, obj in (("pair", random_almost_commuting(2, 6, 1e-2, 3)),
+                          ("spin", spin_triple(2)), ("ring", ring)):
+            dump_canonical(obj.to_json(), paths[name])
+        return paths
+
+    ARGV = {"sspec": ["sspec", "--input", "{pair}", "--eta", "0.2"],
+            "bott": ["bott", "{spin}"],
+            "holes": ["holes", "--input", "{ring}", "--resolution", "0.015"]}
+
+    @pytest.mark.parametrize("command", sorted(ARGV))
+    def test_no_document_without_out(self, inputs, capsys, monkeypatch,
+                                     command):
+        from synspec import BallUnion
+        from synspec.obstructions import BottReport
+        from synspec.region_geometry import RegionTopology
+
+        def refuse(self):
+            raise AssertionError("to_json called without --out")
+
+        for cls in (BallUnion, BottReport, RegionTopology):
+            monkeypatch.setattr(cls, "to_json", refuse)
+        argv = [a.format(**inputs) for a in self.ARGV[command]]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith(command + ":")
+        with pytest.raises(AssertionError, match="without --out"):
+            main(argv + ["--out", inputs["out"]])
+
+
+@pytest.mark.parametrize("dim, side", [(True, 1), (2.5, 2)],
+                         ids=["true", "2.5"])
+def test_non_integral_dim_bott_exit_2(tmp_path, capsys, dim, side):
+    # int() loaded "dim": true as 1 and 2.5 as 2
+    zero = np.zeros((side, side)).tolist()
+    op = {"dim": dim, "re": (0.5 * np.eye(side)).tolist(), "im": zero}
+    path = tmp_path / "T.json"
+    path.write_text(json.dumps({"M": 1.0, "ops": [op] * 3}))
+    assert main(["bott", str(path)]) == 2
+    assert "dim must be an integer" in capsys.readouterr().err

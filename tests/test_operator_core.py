@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from synspec import (
     random_hermitian,
     spectral_norm,
 )
+from synspec.operator_core import _op_norms
 from synspec.synthetic_spectrum import _bump_matrix
 
 
@@ -190,3 +193,70 @@ class TestJointEigensystem:
         got = {tuple(np.round(v, 6)) for v in vals}
         assert got == {(1.0, 3.0), (1.0, 4.0), (2.0, 5.0)}
 
+
+
+Z2 = [[0.0, 0.0], [0.0, 0.0]]
+
+
+def op_json(re, im=Z2, dim=2):
+    return {"dim": dim, "re": re, "im": im}
+
+
+# every message as the loader printed it before the norm check was batched
+RAGGED = ("malformed matrix JSON: setting an array element with a sequence. "
+          "The requested array has an inhomogeneous shape after 1 dimensions. "
+          "The detected shape was (2,) + inhomogeneous part.")
+
+
+class TestTupleLoader:
+    @pytest.mark.parametrize("obj, message", [
+        ({"M": 1.0, "ops": [op_json([[np.nan, 0.0], [0.0, 0.0]])]},
+         "matrix has non-finite entries"),
+        ({"M": 1.0, "ops": [op_json(Z2, [[0.0, np.inf], [-np.inf, 0.0]])]},
+         "matrix has non-finite entries"),
+        ({"M": 1.0, "ops": [op_json([[np.inf, np.nan], [np.nan, 0.0]])]},
+         "matrix has non-finite entries"),
+        ({"M": 1.0, "ops": [op_json([[0.0, 0.5], [0.0, 0.0]])]},
+         "matrix is not self-adjoint (deviation 5.000e-01)"),
+        ({"M": 1.0, "ops": [op_json([[0.5, 0.0], [0.0, 0.5]]),
+                            op_json([[0.0, 1.5], [1.5, 0.0]])]},
+         "operator norm exceeds the bound M=1"),
+        ({"M": 0.25, "ops": [op_json([[0.5, 0.0], [0.0, 0.0]])]},
+         "operator norm exceeds the bound M=0.25"),
+        ({"M": 1.0, "ops": [op_json(Z2), op_json([[0.0]], [[0.0]], 1)]},
+         "operators do not share a dimension"),
+        ({"M": 1.0, "ops": [op_json(Z2, dim=3)]},
+         "matrix JSON arrays do not match dim"),
+        ({"M": 1.0, "ops": [op_json([[0.0, 0.0], [0.0]])]}, RAGGED),
+        ({"M": 1.0, "ops": [op_json(Z2, [[0.0], [0.0, 0.0]])]}, RAGGED),
+        ({"M": 1.0, "ops": []}, "empty operator tuple"),
+        ({"M": np.nan, "ops": [op_json(Z2)]},
+         "norm bound must be finite and positive"),
+        ({"ops": [op_json(Z2)]}, "malformed tuple JSON: 'M'"),
+    ], ids=["nan", "inf-imag", "inf-and-nan", "non-hermitian", "norm-above-M",
+            "norm-above-quarter", "mismatched-dims", "dim-vs-arrays",
+            "ragged-re", "ragged-im", "empty", "M-nan", "missing-M"])
+    def test_refusals_keep_their_messages(self, obj, message):
+        with pytest.raises(InvalidInputError) as exc:
+            OperatorTuple.from_json(json.loads(json.dumps(obj)))
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("dim, side", [(2.5, 2), (2.0, 2), (True, 1),
+                                           ("2", 2)])
+    def test_non_integral_dim_rejected(self, dim, side):
+        # int() read 2.5 as a dim-2 matrix and true as dim 1
+        zero = np.zeros((side, side)).tolist()
+        with pytest.raises(InvalidInputError, match="dim must be an integer"):
+            HermitianMatrix.from_json({"dim": dim, "re": zero, "im": zero})
+
+    def test_stacked_norms_equal_op_norm(self):
+        rng = np.random.default_rng(19)
+        for t in range(320):
+            n, dim = int(rng.integers(1, 5)), int(rng.integers(1, 13))
+            if t % 2:
+                ops = random_almost_commuting(n, dim, 0.1, t).ops
+            else:
+                ops = tuple(random_hermitian(dim, rng, rng.uniform(0.1, 3.0))
+                            for _ in range(n))
+            got = _op_norms(ops)
+            assert got.tobytes() == np.array([op_norm(op) for op in ops]).tobytes()

@@ -128,7 +128,12 @@ class TestBrickSet:
         {"n": 2.7, "k": 2, "corners": [[0, 0], [0.5, 0]]},
         {"n": 2, "k": 2.0, "corners": [[0, 0]]},
         {"n": "2", "k": 2, "corners": [[0, 0]]},
-    ], ids=["k-2.5", "n-2.7", "k-2.0", "n-string"])
+        # operator.index(True) is 1: these loaded 1-D or k = 1 sets
+        {"n": True, "k": True, "corners": [[0]]},
+        {"n": True, "k": 10, "corners": [[0]]},
+        {"n": 1, "k": True, "corners": [[0]]},
+    ], ids=["k-2.5", "n-2.7", "k-2.0", "n-string", "n-k-true", "n-true",
+            "k-true"])
     def test_from_json_non_integral_n_or_k_rejected(self, obj):
         # int() read k = 2.5 as 2, and the corner 0.5 as lattice point 1
         with pytest.raises(InvalidInputError, match="must be an integer"):

@@ -232,9 +232,9 @@ class TestBallUnion:
         assert np.allclose(back.centers, b.centers)
         assert back.eta == b.eta
 
-    @pytest.mark.parametrize("n", [2.7, 2.0, "2"])
+    @pytest.mark.parametrize("n", [2.7, 2.0, "2", True])
     def test_from_json_non_integral_n_rejected(self, n):
-        # int() read n = 2.7 as 2
+        # int() read n = 2.7 as 2, and operator.index(True) is 1
         with pytest.raises(InvalidInputError, match="must be an integer"):
             BallUnion.from_json({"n": n, "eta": 0.1, "centers": [[0.0, 0.0]]})
 
@@ -622,3 +622,26 @@ class TestSpectralProperties:
         d = dilate(b, 0.05)
         assert d.eta == pytest.approx(0.15)
         assert np.allclose(d.centers, b.centers)
+
+
+class TestSweepCalls:
+    def test_eigvalsh_never_gets_zero_rows(self, monkeypatch):
+        rows, eigvalsh = [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda a: rows.append(a.shape[0]) or eigvalsh(a))
+        for n, dim, eta, seed in [(2, 8, 0.1, 0), (2, 12, 0.05, 1),
+                                  (3, 6, 0.2, 2), (3, 5, 0.3, 4)]:
+            T = random_almost_commuting(n, dim, 1e-2, seed)
+            for order in (None, tuple(reversed(range(n)))):
+                assert not synthetic_spectrum(T, eta, order=order).is_empty
+        assert rows and min(rows) > 0
+
+    def test_repeated_sweeps_share_one_eigh(self, monkeypatch):
+        calls, eigh = [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda a: calls.append(a) or eigh(a))
+        T = random_almost_commuting(3, 6, 1e-2, 9)
+        first = [synthetic_spectrum(T, eta).centers for eta in (0.1, 0.2, 0.3)]
+        synthetic_spectrum(T, 0.1, order=(2, 0, 1))
+        assert len(calls) == 3  # one per operator, on the first sweep
+        assert np.array_equal(synthetic_spectrum(T, 0.1).centers, first[0])
