@@ -218,28 +218,26 @@ def joint_eigensystem(T: OperatorTuple):
     row i holds the joint eigenvalue vector of basis column i.  Built by
     recursive eigenspace refinement: diagonalize the first operator, then
     diagonalize each following operator restricted to the eigenvalue
-    clusters accumulated so far.
+    clusters accumulated so far.  Clusters split at eigenvalue gaps above
+    1e-8; each operator's clusters of one size are solved as one stack.
     """
     dim = T.dim
     U = np.eye(dim, dtype=complex)
     vals = np.zeros((dim, T.n))
-    blocks = [np.arange(dim)]
+    starts = [0]  # the clusters are runs of columns that open at these
     for j, op in enumerate(T.ops):
-        new_blocks = []
-        for blk in blocks:
-            Ub = U[:, blk]
-            sub = Ub.conj().T @ op.entries @ Ub
-            sub = (sub + sub.conj().T) / 2
+        groups = {}
+        for a, b in zip(starts, starts[1:] + [dim]):
+            groups.setdefault(b - a, []).append(a)
+        cuts = []
+        for s, heads in groups.items():
+            blk = np.add.outer(heads, range(s))
+            Ub = U[:, blk].transpose(1, 0, 2).copy()
+            sub = Ub.conj().transpose(0, 2, 1) @ op.entries @ Ub
+            sub = (sub + sub.conj().transpose(0, 2, 1)) / 2
             w, V = np.linalg.eigh(sub)
-            U[:, blk] = Ub @ V
+            U[:, blk] = (Ub @ V).transpose(1, 0, 2)
             vals[blk, j] = w
-            # split the block at eigenvalue gaps above 1e-8
-            start = 0
-            for i in range(1, blk.size):
-                if w[i] - w[i - 1] > 1e-8:
-                    new_blocks.append(blk[start:i])
-                    start = i
-            new_blocks.append(blk[start:])
-        blocks = new_blocks
+            cuts += blk[:, 1:][w[:, 1:] - w[:, :-1] > 1e-8].tolist()
+        starts = sorted(starts + cuts)
     return U, vals
-

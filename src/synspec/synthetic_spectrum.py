@@ -132,6 +132,17 @@ def unique_rows(a: np.ndarray) -> np.ndarray:
     return a[(np.diff(a, axis=0, prepend=np.nan) != 0).any(axis=1)]
 
 
+def _node_keys(q: np.ndarray, spec: GridSpec) -> np.ndarray:
+    """Mixed-radix int64 key of each row of integral node coordinates, each in
+    [-m_max, m_max]; below 2**62 when the spec has fewer points."""
+    m = spec.m_max
+    d = q.astype(np.int64) + m
+    key = d[:, 0]
+    for i in range(1, spec.n):
+        key = key * (2 * m + 1) + d[:, i]
+    return key
+
+
 def grid_points(spec: GridSpec) -> np.ndarray:
     """All lattice points of the spec, in lexicographic order."""
     _check_cap(spec.point_count)
@@ -178,6 +189,44 @@ class BallUnion:
         """``scipy.spatial.cKDTree`` over the centers, built on first use."""
         from scipy.spatial import cKDTree
         return cKDTree(self.centers)
+
+    @cached_property
+    def lattice(self):
+        """(sorted int64 keys of the centers' ``grid`` nodes, the center row of
+        each key), built on first use; None without a grid, or with 2**62
+        nodes or more, where a key could overflow.  Centers on nodes outside
+        the grid's [-m_max, m_max]^n get no key."""
+        g = self.grid
+        if g is None or g.point_count >= 2 ** 62:
+            return None
+        q = np.round(self.centers * g.k)
+        inside = np.abs(q) <= g.m_max
+        rows = (np.arange(len(q)) if inside.all()
+                else np.flatnonzero(inside.all(axis=1)))
+        keys = _node_keys(q[rows], g)
+        order = np.argsort(keys, kind="stable")
+        return keys[order], rows[order]
+
+    def center_at_node(self, points: np.ndarray) -> tuple:
+        """(row, hit) for finite points: where ``hit``, ``centers[row]`` lies
+        on the point's nearest ``grid`` node.  A node outside the grid, a node
+        with no center, or a union with no ``lattice`` is no hit."""
+        count, lat = points.shape[0], self.lattice
+        if lat is None or lat[0].size == 0:
+            return np.zeros(count, dtype=int), np.zeros(count, dtype=bool)
+        keys, rows = lat
+        m = self.grid.m_max
+        with np.errstate(over="ignore"):
+            q = np.round(points * self.grid.k)
+        inside = np.abs(q) <= m
+        off = not inside.all()
+        # a node off the grid is clipped before the integer cast, and is no hit
+        want = _node_keys(np.clip(q, -m, m) if off else q, self.grid)
+        pos = np.minimum(np.searchsorted(keys, want), keys.size - 1)
+        hit = keys[pos] == want
+        if off:
+            hit &= inside.all(axis=1)
+        return rows[pos], hit
 
     def distance_to_points(self, points: np.ndarray) -> np.ndarray:
         """Euclidean distance from each query point to the ball union."""
@@ -482,6 +531,12 @@ def containment_check(inner, outer: BallUnion, slack: float) -> bool:
     holds in any dimension, so True is certified.  False means "not
     certified", not "not contained": a ball that only several outer balls
     cover together is not recognised.  All input must be finite, slack >= 0.
+
+    A ball whose nearest node of ``outer.grid`` holds an outer center passes
+    when it fits that center's ball 1e-12 inside the limit, so the nearest
+    center passes too; only the other balls meet a KD-tree query, and the
+    tree is built only then.  At DEBUG the module logger prints ``inner``,
+    ``decided`` and ``queried``.
     """
     if not (math.isfinite(slack) and slack >= 0):
         raise InvalidInputError("slack must be finite and >= 0")
@@ -497,5 +552,14 @@ def containment_check(inner, outer: BallUnion, slack: float) -> bool:
         return True
     if outer.is_empty:
         return False
-    d, _ = outer.tree.query(pts)
-    return bool((d + r <= outer.eta + slack + 1e-9).all())
+    lim = outer.eta + slack + 1e-9
+    row, hit = outer.center_at_node(pts)
+    diff = pts - outer.centers.take(row, axis=0)
+    done = hit & (np.sqrt(np.einsum("ij,ij->i", diff, diff)) + r <= lim - 1e-12)
+    queried = pts.shape[0] - np.count_nonzero(done)
+    log.debug("containment inner=%d decided=%d queried=%d", pts.shape[0],
+              pts.shape[0] - queried, queried)
+    if queried == 0:
+        return True
+    d, _ = outer.tree.query(pts[~done])
+    return bool((d + r <= lim).all())

@@ -418,7 +418,7 @@ def _suite_obstruction(trials: int, seed: int) -> dict:
     rec.failures("commuting_value_zero", bad)
 
     # orientation: swapping the first two coordinates flips the sign
-    a = bott_index(T.ops[0], T.ops[1], T.ops[2]).value
+    a = rep.value
     b = bott_index(T.ops[1], T.ops[0], T.ops[2]).value
     rec.record("orientation_antisymmetry", a == -b, {"value": a, "swapped": b})
 

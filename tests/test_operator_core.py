@@ -8,6 +8,7 @@ from synspec import (
     InvalidInputError,
     OperatorTuple,
     commutator_norm,
+    joint_diagonalize,
     joint_eigensystem,
     op_norm,
     pairwise_commutator_norms,
@@ -192,6 +193,66 @@ class TestJointEigensystem:
         U, vals = joint_eigensystem(OperatorTuple((a, b), norm_bound=5.0))
         got = {tuple(np.round(v, 6)) for v in vals}
         assert got == {(1.0, 3.0), (1.0, 4.0), (2.0, 5.0)}
+
+    def test_equals_per_cluster_loop(self):
+        largest = {}
+        for family, T in commuting_corpus():
+            U, vals = joint_eigensystem(T)
+            U0, vals0, sizes = reference_joint_eigensystem(T)
+            assert U.tobytes() == U0.tobytes(), (family, T.n, T.dim)
+            assert vals.tobytes() == vals0.tobytes(), (family, T.n, T.dim)
+            if family == "repeated" and T.dim > 2 ** (T.n - 1):
+                # at most 2**j clusters after j operators
+                assert min(sizes) > 1, (T.n, T.dim)
+            largest[family] = max(largest.get(family, 1), max(sizes))
+        assert min(largest.values()) > 1
+
+
+def reference_joint_eigensystem(T):
+    """``joint_eigensystem`` one cluster at a time, with the largest cluster
+    each operator is restricted to."""
+    dim = T.dim
+    U = np.eye(dim, dtype=complex)
+    vals = np.zeros((dim, T.n))
+    blocks, sizes = [np.arange(dim)], []
+    for j, op in enumerate(T.ops):
+        sizes.append(max(blk.size for blk in blocks))
+        new_blocks = []
+        for blk in blocks:
+            Ub = U[:, blk]
+            sub = Ub.conj().T @ op.entries @ Ub
+            sub = (sub + sub.conj().T) / 2
+            w, V = np.linalg.eigh(sub)
+            U[:, blk] = Ub @ V
+            vals[blk, j] = w
+            start = 0
+            for i in range(1, blk.size):
+                if w[i] - w[i - 1] > 1e-8:
+                    new_blocks.append(blk[start:i])
+                    start = i
+            new_blocks.append(blk[start:])
+        blocks = new_blocks
+    return U, vals, sizes
+
+
+def commuting_corpus():
+    """(family, tuple) for n = 1..3 and dims 1..24: exactly commuting tuples,
+    ones whose eigenvalues repeat (each operator takes only +-1/2), and
+    Jacobi outputs of almost commuting ones; 336 tuples."""
+    for n in (1, 2, 3):
+        for dim in range(1, 25):
+            for seed in (0, 1):
+                yield "exact", random_almost_commuting(n, dim, 0.5, 100 * dim + seed,
+                                                       exact=True)
+                rng = np.random.default_rng([n, dim, seed])
+                Q = np.linalg.qr(rng.standard_normal((dim, dim))
+                                 + 1j * rng.standard_normal((dim, dim)))[0]
+                yield "repeated", OperatorTuple(tuple(
+                    herm((Q * rng.choice([-0.5, 0.5], dim)) @ Q.conj().T)
+                    for _ in range(n)))
+            if dim % 2 or n == 1:
+                T = random_almost_commuting(n, dim, 1e-2, 1000 + dim)
+                yield "jacobi", joint_diagonalize(T, max_sweeps=20).S
 
 
 
