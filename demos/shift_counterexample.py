@@ -7,12 +7,18 @@ symbol curve (the unit circle).
 
 Run:  python3 demos/shift_counterexample.py
 """
+import numpy as np
+
 from synspec import (
+    OperatorTuple,
     SymbolOperator,
     TruncationFamily,
     fredholm_index,
+    hausdorff_distance,
     index_hypothesis_check,
     quasicentral_family,
+    scalar_synthetic_spectrum,
+    synthetic_spectrum,
 )
 
 shift = SymbolOperator.shift()
@@ -42,6 +48,18 @@ print("index hypothesis check at eta=0.1: %s"
 for hole in check.holes:
     print("  hole at lambda = %.3f%+.3fj carries index %d"
           % (hole.lam.real, hole.lam.imag, hole.index))
+
+# the hypothesis fails on the pair itself: sSp^eta(T_N) fills the quotient's
+# hole (criterion 10 checks N = 100, 200 and eta = 0.1, 0.2)
+t1, t2, diag = quasicentral_family(TruncationFamily(shift, N=100, n0=10, w=20))
+region = synthetic_spectrum(OperatorTuple((t1, t2)), 0.2)
+quotient, _ = scalar_synthetic_spectrum(shift, 0.2)
+near = [int((np.linalg.norm(R.centers, axis=1) <= 0.3).sum())
+        for R in (region, quotient)]
+print("\nN=100, w=20, eta=0.2: commutator %.4f, centers within 0.3 of 0: "
+      "%d in sSp(T_N), %d in the quotient; d_H = %.3f"
+      % (diag["commutator_norm"], near[0], near[1],
+         hausdorff_distance(region, quotient, 0.04)))
 
 # a normal (self-adjoint-symbol) model has no hole and passes
 normal = SymbolOperator({-1: 0.5, 1: 0.5})

@@ -329,7 +329,7 @@ def scalar_synthetic_spectrum(op: SymbolOperator, eta: float) -> tuple:
     i1, i2 = np.nonzero(cover[:g, :g] > 0)
     log.debug("quotient spectrum samples=%d plateau=%d fringe=%d", a1.size,
               (p1 - p0)[plateau].sum(), hit.size)
-    region = BallUnion(2, eta, np.stack([coords[i1], coords[i2]], axis=1), spec)
+    region = BallUnion.from_nodes(spec, eta, np.stack([i1, i2], 1) - spec.m_max)
     hop = float(np.abs(np.diff(np.append(curve, curve[0]))).max())
     return region, hop
 

@@ -106,14 +106,6 @@ class WindingReport:
     samples: int
 
 
-def symbol_curve(op: SymbolOperator, samples: int) -> np.ndarray:
-    """Closed polyline s(e^{2 pi i j/samples}), j = 0..samples-1."""
-    if samples < 8 * op.bandwidth:
-        raise InvalidInputError("need at least 8*bandwidth samples")
-    t = np.arange(samples) / samples
-    return op.eval(np.exp(2j * math.pi * t))
-
-
 def _circle(N: int) -> np.ndarray:
     """exp(2 pi i j/N), j = 0..N-1, as a read-only view of the shared table.
 

@@ -11,8 +11,12 @@ squared norm of a (prefix, candidate) pair's product is the top eigenvalue
 of its Gram matrix, between the largest diagonal term and the trace: a pair
 is rejected when the trace is below threshold^2, accepted when the largest
 diagonal term reaches it, and ``eigvalsh`` scores only the pairs in between.
-A kept pair's Gram matrix becomes the next level's state.  Chunks of
-``_BATCH`` pairs bound memory beyond the stored prefixes.
+A kept pair's Gram matrix becomes the next level's state.  One byte
+budget, ``_CHUNK_BYTES``, sizes both the chunks of prefixes bounded at once
+and the batches of Gram matrices formed at once, so memory beyond the stored
+prefixes and each level's eigenbasis products stays bounded.  The sweep
+yields integer grid nodes, which ``BallUnion.from_nodes`` turns into centers
+and lattice keys without a float round trip.
 """
 from __future__ import annotations
 
@@ -40,8 +44,8 @@ from .operator_core import (
 
 DEFAULT_GRID_CAP = 2 ** 24
 BORDERLINE_TOL = 1e-9
-# (prefix, candidate) pairs the sweep bounds or eigensolves at once
-_BATCH = 2048
+# bytes of working arrays one prefix chunk or one Gram batch of the sweep holds
+_CHUNK_BYTES = 2 ** 21
 
 log = logging.getLogger(__name__)
 
@@ -174,11 +178,44 @@ class BallUnion:
             raise InvalidInputError("centers must be finite")
         c = unique_rows(c)
         if self.grid is not None and c.size:
-            lat = c * self.grid.k
-            if np.abs(lat - np.round(lat)).max() > 1e-9:
+            # a node past the floats gives NaN, which must fail the test too
+            with np.errstate(over="ignore", invalid="ignore"):
+                lat = c * self.grid.k
+                dev = np.abs(lat - np.round(lat)).max()
+            if not dev <= 1e-9:
                 raise InvalidInputError("centers are off the lattice")
         c.setflags(write=False)
         object.__setattr__(self, "centers", c)
+
+    @classmethod
+    def from_nodes(cls, spec: GridSpec, eta: float, nodes) -> "BallUnion":
+        """The union of eta-balls on integer ``nodes`` of ``spec``, each
+        coordinate in [-m_max, m_max], as the sweeps compute them.
+
+        The centers are ``nodes / spec.k``, bit for bit the ``axis_coords``
+        at those nodes, so they need no lattice check.  Rows are sorted and
+        made distinct only when their node keys do not already increase, and
+        the keys become ``lattice`` at once.  With 2**62 nodes or more the
+        rows are sorted as ``unique_rows`` does, and ``lattice`` is None.
+        """
+        nodes = np.asarray(nodes).reshape(-1, spec.n)
+        lattice = None
+        if spec.point_count < 2 ** 62:
+            keys = _node_keys(nodes, spec)
+            if not (keys[1:] > keys[:-1]).all():
+                order = np.argsort(keys)
+                keep = order[np.diff(keys[order], prepend=-1) != 0]
+                nodes, keys = nodes[keep], keys[keep]
+            lattice = keys, np.arange(keys.size)
+        else:
+            nodes = unique_rows(nodes)
+        c = nodes / spec.k
+        c.setflags(write=False)
+        union = object.__new__(cls)
+        for name, value in (("n", spec.n), ("eta", eta), ("centers", c),
+                            ("grid", spec), ("lattice", lattice)):
+            object.__setattr__(union, name, value)
+        return union
 
     @property
     def is_empty(self) -> bool:
@@ -193,9 +230,10 @@ class BallUnion:
     @cached_property
     def lattice(self):
         """(sorted int64 keys of the centers' ``grid`` nodes, the center row of
-        each key), built on first use; None without a grid, or with 2**62
-        nodes or more, where a key could overflow.  Centers on nodes outside
-        the grid's [-m_max, m_max]^n get no key."""
+        each key), built on first use unless ``from_nodes`` set it; None
+        without a grid, or with 2**62 nodes or more, where a key could
+        overflow.  Centers on nodes outside the grid's [-m_max, m_max]^n get
+        no key."""
         g = self.grid
         if g is None or g.point_count >= 2 ** 62:
             return None
@@ -359,10 +397,10 @@ def synthetic_spectrum(T: OperatorTuple, eta: float, *,
     idx = _axis_order(order, T.n)
     eigs = [T.ops[i].eigh for i in idx]
     W = [bump_weights(coords, w, eta) for w, _ in eigs]
-    centers = _pruned_sweep(coords, eigs, W, inclusion_threshold(eta))
+    nodes = _pruned_sweep(eigs, W, inclusion_threshold(eta)) - spec.m_max
     if order is not None:
-        centers = centers[:, np.argsort(idx)]
-    return BallUnion(T.n, eta, centers, spec)
+        nodes = nodes[:, np.argsort(idx)]
+    return BallUnion.from_nodes(spec, eta, nodes)
 
 
 def _supports(w: np.ndarray, U: np.ndarray):
@@ -375,13 +413,15 @@ def _supports(w: np.ndarray, U: np.ndarray):
     return ws, order, U[:, order].transpose(1, 0, 2)
 
 
-def _pruned_sweep(coords, eigs, W, thresh) -> np.ndarray:
+def _pruned_sweep(eigs, W, thresh) -> np.ndarray:
+    """Coordinate indices, one row per kept grid point, in lexicographic
+    order of the swept axes."""
     n = len(eigs)
     pass_idx = [np.nonzero(Wa.max(axis=1) >= thresh)[0] for Wa in W]
     if n == 1:
-        return coords[pass_idx[0]][:, None]
+        return pass_idx[0][:, None]
     if any(p.size == 0 for p in pass_idx):
-        return np.zeros((0, n))
+        return np.zeros((0, n), dtype=int)
     # prefix i has coordinate indices cs[i] and running product P_i with
     # P_i* P_i = B G_i B*, B = Us[last[i]]; G_i is zero in B's padded columns
     ws, _, Us = _supports(W[0][pass_idx[0]], eigs[0][1])
@@ -393,7 +433,13 @@ def _pruned_sweep(coords, eigs, W, thresh) -> np.ndarray:
         # Kh[j] = U* B_j = K_j*, shared by the prefixes that end in candidate j
         Kh = U.conj().T @ Us
         ws, order, Us = _supports(wc, U)
-        step, mid = max(1, _BATCH // cand.size), axis < n - 1
+        d, m0, m = U.shape[0], G.shape[1], ws.shape[1]
+        # a prefix holds Khb, KH and their product (d x m0 complex each) and
+        # a row of lb2's operands (candidates x m floats); a Gram pair holds
+        # its two gathers (m x m0 complex each) and the matrix (m x m)
+        step = max(1, _CHUNK_BYTES // (48 * d * m0 + 16 * cand.size * m))
+        batch = max(1, _CHUNK_BYTES // (16 * m * (2 * m0 + m)))
+        mid = axis < n - 1
         kept, nxt, passed, solved = [np.zeros((2, 0), dtype=int)], [], 0, 0
         for lo in range(0, len(G), step):
             Khb = Kh[last[lo:lo + step]]
@@ -406,8 +452,8 @@ def _pruned_sweep(coords, eigs, W, thresh) -> np.ndarray:
             lb2 = (dg[:, order] * ws ** 2).max(axis=2)
             pi, ci = np.nonzero(ub2 >= thresh ** 2)
             passed += pi.size
-            for plo in range(0, pi.size, _BATCH):
-                p, c = pi[plo:plo + _BATCH], ci[plo:plo + _BATCH]
+            for plo in range(0, pi.size, batch):
+                p, c = pi[plo:plo + batch], ci[plo:plo + batch]
                 sel = lb2[p, c] >= thresh ** 2
                 und = np.flatnonzero(~sel)
                 # Gram matrix diag(w) K_s* G K_s diag(w), s the candidate's support:
@@ -430,11 +476,11 @@ def _pruned_sweep(coords, eigs, W, thresh) -> np.ndarray:
                   "eigensolved=%d survivors=%d", axis, len(G),
                   len(G) * cand.size - passed, passed - solved, solved, p.size)
         if p.size == 0:
-            return np.zeros((0, n))
+            return np.zeros((0, n), dtype=int)
         cs = np.hstack([cs[p], cand[c][:, None]])
         if mid:
             G, last = np.concatenate(nxt), c
-    return coords[cs]
+    return cs
 
 
 def hausdorff_distance(A: BallUnion, B: BallUnion, resolution: float) -> float:

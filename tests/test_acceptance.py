@@ -1,4 +1,4 @@
-"""Acceptance gate: the nine project-level criteria, run end to end.
+"""Acceptance gate: the ten project-level criteria, run end to end.
 
 Each test prints a PASS line with its headline numbers.  Trial counts are
 fixed here, and the tolerances here and in the shared checks of
@@ -11,6 +11,7 @@ import numpy as np
 
 from synspec import (
     HermitianMatrix,
+    OperatorTuple,
     SymbolOperator,
     TruncationFamily,
     bott_index,
@@ -19,12 +20,14 @@ from synspec import (
     containment_check,
     dilate,
     fredholm_index,
+    hausdorff_distance,
     index_hypothesis_check,
     joint_diagonalize,
     pairwise_commutator_norms,
     quasicentral_family,
     random_almost_commuting,
     random_hermitian,
+    scalar_synthetic_spectrum,
     spin_triple,
     synthetic_spectrum,
 )
@@ -205,3 +208,28 @@ def test_criterion_9_determinism():
         with open(pa, "rb") as fa, open(pb, "rb") as fb:
             assert fa.read() == fb.read()
     print("PASS criterion 9: byte-identical artifacts")
+
+
+def test_criterion_10_hypothesis_fails_on_the_counterexample():
+    """sSp^eta(T_N) stays far from the quotient spectrum as the commutator of
+    the truncated-shift pair falls: its centers fill the quotient's hole."""
+    t0 = time.time()
+    shift = SymbolOperator.shift()
+    rows = []
+    for N in (100, 200):
+        w = N // 5
+        t1, t2, diag = quasicentral_family(TruncationFamily(shift, N, 10, w))
+        assert diag["commutator_norm"] <= 2.0 / w, N
+        T = OperatorTuple((t1, t2))
+        for eta in (0.1, 0.2):
+            region = synthetic_spectrum(T, eta)
+            quotient, _ = scalar_synthetic_spectrum(shift, eta)
+            near = [int((np.linalg.norm(R.centers, axis=1) <= 0.3).sum())
+                    for R in (region, quotient)]
+            assert near[0] > 0 and near[1] == 0, (N, eta, near)
+            d = hausdorff_distance(region, quotient, eta / 5)
+            assert d >= 0.5, (N, eta, d)
+            rows.append("N=%d eta=%g d_H=%.3f" % (N, eta, d))
+    elapsed = time.time() - t0
+    assert elapsed < 120
+    print("PASS criterion 10: %s, %.0fs" % ("; ".join(rows), elapsed))

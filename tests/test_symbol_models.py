@@ -17,11 +17,18 @@ from synspec import (
     fredholm_index,
     quasicentral_family,
     ramp_diagonal,
-    symbol_curve,
 )
 from synspec import symbol_models
 from synspec.symbol_models import MAX_WINDING_SAMPLES, _circle
 from synspec.verify import winding_oracle
+
+
+def symbol_curve(op: SymbolOperator, samples: int) -> np.ndarray:
+    """Closed polyline s(e^{2 pi i j/samples}), j = 0..samples-1."""
+    if samples < 8 * op.bandwidth:
+        raise InvalidInputError("need at least 8*bandwidth samples")
+    t = np.arange(samples) / samples
+    return op.eval(np.exp(2j * math.pi * t))
 
 
 def doubling_reference(op, lam):

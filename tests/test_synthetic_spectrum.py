@@ -1,6 +1,8 @@
 import importlib
 import logging
 import re
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from synspec import (
     InvalidWitnessError,
     OperatorTuple,
     ResourceLimitError,
+    SymbolOperator,
     big_theta_norm,
     containment_check,
     dilate,
@@ -24,6 +27,7 @@ from synspec import (
     near_spectrum_witness,
     random_almost_commuting,
     random_hermitian,
+    scalar_synthetic_spectrum,
     spectral_norm,
     synthetic_spectrum,
 )
@@ -226,6 +230,14 @@ class TestBallUnion:
         with pytest.raises(InvalidInputError):
             BallUnion(2, 0.2, np.array([[0.123456, 0.0]]), spec)
 
+    def test_off_lattice_center_beside_an_overflowing_one_rejected(self):
+        # 1e308 * k overflows, and its NaN deviation must not hide 0.3 * 31
+        spec = GridSpec.create(1, 1.0, 0.2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="off the lattice"):
+                BallUnion(1, 0.2, np.array([[1e308], [0.3]]), spec)
+
     def test_json_roundtrip(self):
         b = BallUnion(2, 0.1, np.array([[0.5, -0.5], [0.0, 0.0]]))
         back = BallUnion.from_json(b.to_json())
@@ -338,7 +350,8 @@ class TestSyntheticSpectrum:
         T = scaled(random_almost_commuting(n, dim, 1e-2, seed), M)
         want = synthetic_spectrum(T, eta).centers
         assert want.shape[0] > 0
-        monkeypatch.setattr(sweep_module, "_BATCH", 3)
+        # one prefix per chunk and one Gram matrix per batch
+        monkeypatch.setattr(sweep_module, "_CHUNK_BYTES", 1)
         assert np.array_equal(synthetic_spectrum(T, eta).centers, want)
 
     def test_empty_middle_level(self, caplog):
@@ -645,3 +658,83 @@ class TestSweepCalls:
         synthetic_spectrum(T, 0.1, order=(2, 0, 1))
         assert len(calls) == 3  # one per operator, on the first sweep
         assert np.array_equal(synthetic_spectrum(T, 0.1).centers, first[0])
+
+
+def computed_spectra():
+    """300 swept spectra (n = 1..3, eta in {0.1, 0.2, 0.4}, each multi-axis
+    tuple also swept in reverse order) and 12 quotient spectra."""
+    for t in range(60):
+        n = 1 + t % 3
+        dim = int(np.random.default_rng(t).integers(2, 9))
+        T = random_almost_commuting(n, dim, [1e-3, 1e-2, 1e-1][t % 3], 600 + t)
+        orders = [None] if n == 1 else [None, tuple(reversed(range(n)))]
+        for eta in (0.1, 0.2, 0.4):
+            for order in orders:
+                yield synthetic_spectrum(T, eta, order=order)
+    for op in (SymbolOperator.shift(), SymbolOperator({2: 1.0}),
+               SymbolOperator({-1: 0.5, 1: 0.5}),
+               SymbolOperator({1: 0.6, -1: 0.2, 0: 0.1 + 0.1j})):
+        for eta in (0.1, 0.2, 0.3):
+            yield scalar_synthetic_spectrum(op, eta)[0]
+
+
+class TestFromNodes:
+    def test_same_bytes_as_the_float_constructor(self):
+        count = 0
+        for R in computed_spectra():
+            ref = BallUnion(R.n, R.eta, R.centers.copy(), R.grid)
+            assert R.centers.shape == ref.centers.shape
+            assert R.centers.tobytes() == ref.centers.tobytes()
+            assert not R.centers.flags.writeable
+            for got, want in zip(R.lattice, ref.lattice):
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+            count += 1
+        assert count == 312
+
+    def test_computed_spectra_skip_the_float_path(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("float path taken")
+
+        key_rows = []
+        node_keys = sweep_module._node_keys
+        modules = sys.modules["synspec.synthetic_spectrum"], sweep_module
+        assert modules[0] is modules[1]
+        monkeypatch.setattr(modules[0], "unique_rows", refuse)
+        monkeypatch.setattr(modules[0].BallUnion, "__post_init__", refuse)
+        monkeypatch.setattr(modules[0], "_node_keys",
+                            lambda q, spec: key_rows.append(len(q))
+                            or node_keys(q, spec))
+        T = random_almost_commuting(2, 8, 1e-2, 3)
+        small, big = synthetic_spectrum(T, 0.1), synthetic_spectrum(T, 0.2)
+        reverse = synthetic_spectrum(T, 0.2, order=(1, 0))
+        quotient = scalar_synthetic_spectrum(SymbolOperator.shift(), 0.2)[0]
+        sizes = [R.centers.shape[0] for R in (small, big, reverse, quotient)]
+        assert key_rows == sizes and min(sizes) > 0
+        # each union's keys came with it: a check keys only the inner balls
+        key_rows.clear()
+        assert containment_check(small, big, 0.0)
+        assert containment_check(big, reverse, 0.0)
+        assert key_rows == sizes[:2]
+
+    def test_unsorted_repeated_nodes(self):
+        spec = GridSpec.create(2, 1.0, 0.2)
+        nodes = np.array([[3, -2], [-31, 31], [3, -2], [0, 5], [-31, 30]])
+        R = BallUnion.from_nodes(spec, 0.2, nodes)
+        ref = BallUnion(2, 0.2, nodes / spec.k, spec)
+        assert R.centers.tobytes() == ref.centers.tobytes()
+        assert all(a.tobytes() == b.tobytes()
+                   for a, b in zip(R.lattice, ref.lattice))
+        empty = BallUnion.from_nodes(spec, 0.2, np.zeros((0, 2), dtype=int))
+        assert empty.is_empty and empty.centers.shape == (0, 2)
+        assert empty.lattice[0].size == 0
+
+    def test_2_62_nodes_sort_without_keys(self):
+        spec = GridSpec.create(3, 1.0, 1e-6)
+        m = spec.m_max
+        assert spec.point_count >= 2 ** 62
+        nodes = np.array([[m, m, m], [-m, 0, m], [m, m, m], [-m, 0, -m]])
+        R = BallUnion.from_nodes(spec, 1e-6, nodes)
+        assert R.lattice is None
+        assert np.array_equal(R.centers * spec.k,
+                              [[-m, 0, -m], [-m, 0, m], [m, m, m]])
