@@ -666,7 +666,8 @@ def computed_spectra():
     for t in range(60):
         n = 1 + t % 3
         dim = int(np.random.default_rng(t).integers(2, 9))
-        T = random_almost_commuting(n, dim, [1e-3, 1e-2, 1e-1][t % 3], 600 + t)
+        delta = [1e-3, 1e-2, 1e-1][t // 3 % 3]
+        T = random_almost_commuting(n, dim, delta, 600 + t)
         orders = [None] if n == 1 else [None, tuple(reversed(range(n)))]
         for eta in (0.1, 0.2, 0.4):
             for order in orders:
@@ -697,12 +698,11 @@ class TestFromNodes:
             raise AssertionError("float path taken")
 
         key_rows = []
-        node_keys = sweep_module._node_keys
-        modules = sys.modules["synspec.synthetic_spectrum"], sweep_module
-        assert modules[0] is modules[1]
-        monkeypatch.setattr(modules[0], "unique_rows", refuse)
-        monkeypatch.setattr(modules[0].BallUnion, "__post_init__", refuse)
-        monkeypatch.setattr(modules[0], "_node_keys",
+        module = sys.modules["synspec.synthetic_spectrum"]
+        node_keys = module._node_keys
+        monkeypatch.setattr(module, "unique_rows", refuse)
+        monkeypatch.setattr(module.BallUnion, "__post_init__", refuse)
+        monkeypatch.setattr(module, "_node_keys",
                             lambda q, spec: key_rows.append(len(q))
                             or node_keys(q, spec))
         T = random_almost_commuting(2, 8, 1e-2, 3)
