@@ -5,11 +5,11 @@ The obstruction certificate for a Hermitian triple (H1, H2, H3) is the
 
     B = [[H3, H1 - i H2], [H1 + i H2, -H3]]
 
-whose half-signature is an integer that vanishes on gapped commuting
-triples.  Perturbing each H_j by less than gap/3 moves B by less than the
-gap, so a nonzero value certifies that no commuting triple with a gapped
-certificate lies within gap/3 in each coordinate.  The commuting
-approximant search is a Jacobi-type simultaneous diagonalization.
+whose half-signature is an integer.  Perturbing each H_j by less than gap/3
+moves B by less than the gap, so a nonzero value certifies that no
+commuting triple lies within gap/3 in each coordinate (see
+``certified_distance_bound``).  The commuting approximant search is a
+Jacobi-type simultaneous diagonalization.
 """
 from __future__ import annotations
 
@@ -110,14 +110,13 @@ def spin_triple(j: float) -> OperatorTuple:
 
 def certified_distance_bound(H: OperatorTuple) -> BottReport:
     """The triple's Bott report, whose ``bound`` gap/3 is a lower bound on
-    the distance to gapped commuting triples.
+    the distance to every commuting triple.
 
-    Any commuting triple within gap/3 per coordinate keeps the certificate
-    invertible along the linear interpolation (||dB|| <= sum ||dH_j||), so
-    its value would have to match the nonzero value here - impossible for
-    a gapped commuting triple, whose value is 0.  A commuting triple whose
-    own certificate is singular evades the signature argument; the bound
-    rules out gapped commuting triples only.
+    A triple S within gap/3 per coordinate keeps the certificate invertible
+    along the linear interpolation (||dB|| <= sum ||dH_j|| < gap), so its
+    value matches the nonzero value here.  If S commutes, its certificate,
+    invertible, has value 0: on a joint eigenvector with eigenvalues x it
+    acts as x . sigma, whose eigenvalues are +|x| and -|x|.
     """
     if H.n != 3:
         raise InvalidInputError("distance bound is defined for triples")

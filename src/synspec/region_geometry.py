@@ -8,7 +8,9 @@ representative test point per bounded complement component ("hole").
 """
 from __future__ import annotations
 
+import copy
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -251,7 +253,12 @@ def region_topology(R, resolution: float) -> RegionTopology:
 
 
 def dilate(R: BallUnion, r: float) -> BallUnion:
-    """Grow every ball radius by r (same centers)."""
-    if r < 0:
-        raise InvalidInputError("dilation radius must be >= 0")
-    return BallUnion(R.n, R.eta + r, R.centers, R.grid)
+    """Grow every ball radius by r: a copy of R that shares its centers,
+    grid, lattice and any KD-tree, with radius eta + r."""
+    eta = R.eta + r  # finite only when r is, since R.eta is
+    if not (r >= 0 and math.isfinite(eta)):
+        raise InvalidInputError("dilation radius must be >= 0 and keep the "
+                                "radius finite")
+    out = copy.copy(R)
+    object.__setattr__(out, "eta", eta)
+    return out

@@ -131,7 +131,7 @@ def unique_rows(a: np.ndarray) -> np.ndarray:
     step = np.diff(a, axis=0)
     first = (step != 0).argmax(axis=1)[:, None]
     if (np.take_along_axis(step, first, axis=1) > 0).all():
-        return a.copy()  # already strictly increasing, as the sweep emits
+        return a.copy()  # already strictly increasing
     a = a[np.lexsort(a.T[::-1])]
     return a[(np.diff(a, axis=0, prepend=np.nan) != 0).any(axis=1)]
 
@@ -157,12 +157,18 @@ def grid_points(spec: GridSpec) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BallUnion:
-    """Finite union of closed balls of common radius eta."""
+    """Finite union of closed balls of common radius eta.
+
+    A union built by ``from_nodes`` also carries its ``grid`` and its
+    ``lattice``, the sorted int64 keys of its centers' nodes, row for row;
+    any other union has neither.
+    """
 
     n: int
     eta: float
     centers: np.ndarray
-    grid: GridSpec | None = None
+    grid: GridSpec | None = field(default=None, init=False)
+    lattice: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         c = np.asarray(self.centers, dtype=float)
@@ -177,44 +183,40 @@ class BallUnion:
         if not np.isfinite(c).all():
             raise InvalidInputError("centers must be finite")
         c = unique_rows(c)
-        if self.grid is not None and c.size:
-            # a node past the floats gives NaN, which must fail the test too
-            with np.errstate(over="ignore", invalid="ignore"):
-                lat = c * self.grid.k
-                dev = np.abs(lat - np.round(lat)).max()
-            if not dev <= 1e-9:
-                raise InvalidInputError("centers are off the lattice")
         c.setflags(write=False)
         object.__setattr__(self, "centers", c)
 
     @classmethod
     def from_nodes(cls, spec: GridSpec, eta: float, nodes) -> "BallUnion":
         """The union of eta-balls on integer ``nodes`` of ``spec``, each
-        coordinate in [-m_max, m_max], as the sweeps compute them.
+        coordinate in [-m_max, m_max], as the sweeps compute them;
+        other nodes raise InvalidInputError.
 
         The centers are ``nodes / spec.k``, bit for bit the ``axis_coords``
-        at those nodes, so they need no lattice check.  Rows are sorted and
-        made distinct only when their node keys do not already increase, and
-        the keys become ``lattice`` at once.  With 2**62 nodes or more the
-        rows are sorted as ``unique_rows`` does, and ``lattice`` is None.
+        at those nodes.  Rows are sorted and made distinct only when their
+        node keys do not already increase, and the keys become ``lattice``
+        at once.  With 2**62 nodes or more the rows are sorted as
+        ``unique_rows`` does, and ``lattice`` is None.
         """
         nodes = np.asarray(nodes).reshape(-1, spec.n)
+        # float magnitudes: no integer abs to overflow, rounding is monotone
+        if nodes.dtype.kind not in "iu" or (
+                np.abs(nodes.astype(float)).max(initial=0.0) > spec.m_max):
+            raise InvalidInputError("nodes must be integers in [-m_max, m_max]")
         lattice = None
         if spec.point_count < 2 ** 62:
-            keys = _node_keys(nodes, spec)
-            if not (keys[1:] > keys[:-1]).all():
-                order = np.argsort(keys)
-                keep = order[np.diff(keys[order], prepend=-1) != 0]
-                nodes, keys = nodes[keep], keys[keep]
-            lattice = keys, np.arange(keys.size)
+            lattice = _node_keys(nodes, spec)
+            if not (lattice[1:] > lattice[:-1]).all():
+                order = np.argsort(lattice)
+                keep = order[np.diff(lattice[order], prepend=-1) != 0]
+                nodes, lattice = nodes[keep], lattice[keep]
         else:
             nodes = unique_rows(nodes)
         c = nodes / spec.k
         c.setflags(write=False)
-        union = object.__new__(cls)
-        for name, value in (("n", spec.n), ("eta", eta), ("centers", c),
-                            ("grid", spec), ("lattice", lattice)):
-            object.__setattr__(union, name, value)
+        union = object.__new__(cls)  # __post_init__'s checks hold by construction
+        union.__dict__.update(n=spec.n, eta=eta, centers=c, grid=spec,
+                              lattice=lattice)
         return union
 
     @property
@@ -227,32 +229,14 @@ class BallUnion:
         from scipy.spatial import cKDTree
         return cKDTree(self.centers)
 
-    @cached_property
-    def lattice(self):
-        """(sorted int64 keys of the centers' ``grid`` nodes, the center row of
-        each key), built on first use unless ``from_nodes`` set it; None
-        without a grid, or with 2**62 nodes or more, where a key could
-        overflow.  Centers on nodes outside the grid's [-m_max, m_max]^n get
-        no key."""
-        g = self.grid
-        if g is None or g.point_count >= 2 ** 62:
-            return None
-        q = np.round(self.centers * g.k)
-        inside = np.abs(q) <= g.m_max
-        rows = (np.arange(len(q)) if inside.all()
-                else np.flatnonzero(inside.all(axis=1)))
-        keys = _node_keys(q[rows], g)
-        order = np.argsort(keys, kind="stable")
-        return keys[order], rows[order]
-
     def center_at_node(self, points: np.ndarray) -> tuple:
         """(row, hit) for finite points: where ``hit``, ``centers[row]`` lies
-        on the point's nearest ``grid`` node.  A node outside the grid, a node
-        with no center, or a union with no ``lattice`` is no hit."""
-        count, lat = points.shape[0], self.lattice
-        if lat is None or lat[0].size == 0:
+        on the point's nearest ``grid`` node, found by ``searchsorted`` in
+        ``lattice``.  A node outside the grid, a node with no center, or a
+        union with no ``lattice`` is no hit."""
+        count, keys = points.shape[0], self.lattice
+        if keys is None or keys.size == 0:
             return np.zeros(count, dtype=int), np.zeros(count, dtype=bool)
-        keys, rows = lat
         m = self.grid.m_max
         with np.errstate(over="ignore"):
             q = np.round(points * self.grid.k)
@@ -260,11 +244,11 @@ class BallUnion:
         off = not inside.all()
         # a node off the grid is clipped before the integer cast, and is no hit
         want = _node_keys(np.clip(q, -m, m) if off else q, self.grid)
-        pos = np.minimum(np.searchsorted(keys, want), keys.size - 1)
-        hit = keys[pos] == want
+        row = np.minimum(np.searchsorted(keys, want), keys.size - 1)
+        hit = keys[row] == want
         if off:
             hit &= inside.all(axis=1)
-        return rows[pos], hit
+        return row, hit
 
     def distance_to_points(self, points: np.ndarray) -> np.ndarray:
         """Euclidean distance from each query point to the ball union."""

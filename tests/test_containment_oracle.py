@@ -35,23 +35,18 @@ def reference_contains(pts, r, outer, slack):
 
 def reference_decided(pts, r, outer, slack):
     """Balls whose nearest grid node lies in the grid and holds an outer
-    center (the first row on it) that fits them 1e-12 inside the limit."""
+    center that fits them 1e-12 inside the limit.  Only ``from_nodes``
+    unions have a grid, and their centers are their nodes over k."""
     g = outer.grid
     if g is None or g.point_count >= 2 ** 62:
         return 0
-    first = {}
-    for i, q in enumerate(np.round(outer.centers * g.k)):
-        if np.abs(q).max() <= g.m_max:
-            first.setdefault(tuple(q), i)
     with np.errstate(over="ignore"):
         nodes = np.round(pts * g.k)
-    rows = [first.get(tuple(q), -1) if np.abs(q).max() <= g.m_max else -1
-            for q in nodes]
-    sel = np.array(rows) >= 0
-    if not sel.any():
-        return 0
-    c = outer.centers[np.array(rows)[sel]]
-    diff = pts[sel] - c
+    held = set(map(tuple, outer.centers))
+    c = nodes / g.k
+    sel = np.array([np.abs(q).max() <= g.m_max and tuple(x) in held
+                    for q, x in zip(nodes, c)], dtype=bool)
+    diff = pts[sel] - c[sel]
     d = np.sqrt(np.einsum("ij,ij->i", diff, diff))
     return int((d + r <= outer.eta + slack + 1e-9 - 1e-12).sum())
 
@@ -90,7 +85,7 @@ def draw_case(n, data):
                         data.draw(st.floats(0.05, 0.5)))
     m, k = g.m_max, g.k
     # outer: the nodes of a box around a base node, thinned; a base on the
-    # grid's edge puts nodes outside it, which some cases keep
+    # grid's edge puts nodes outside it, which some hand-built cases keep
     edge = rng.random(n) < 0.3
     base = np.where(edge, rng.choice([-m, m], n), rng.integers(-m, m + 1, n))
     w = int(rng.integers(0, 4))
@@ -101,12 +96,16 @@ def draw_case(n, data):
         st.sampled_from([1.0, 1.0, 0.7, 0.3, 0.0]))]
     if data.draw(st.booleans()):
         nodes = nodes[(np.abs(nodes) <= m).all(axis=1)]
-    centers = nodes / k
-    if data.draw(st.booleans()):  # off the lattice by less than 1e-9
-        centers = centers + rng.uniform(-0.9e-9, 0.9e-9, centers.shape) / k
+    jitter = data.draw(st.booleans())  # off the lattice by less than 1e-9
     eta = g.eta + data.draw(st.sampled_from([0.0, 0.0, 0.03, 0.2]))
-    outer = BallUnion(n, eta, centers,
-                      data.draw(st.sampled_from([g, g, g, None])))
+    if (data.draw(st.sampled_from([True, True, True, False])) and not jitter
+            and (np.abs(nodes) <= m).all()):
+        outer = BallUnion.from_nodes(g, eta, nodes)
+    else:  # hand-built: no grid, so every ball takes the tree
+        centers = nodes / k
+        if jitter:
+            centers = centers + rng.uniform(-0.9e-9, 0.9e-9, centers.shape) / k
+        outer = BallUnion(n, eta, centers)
     slack = data.draw(st.sampled_from([0.0, 0.0, 0.01, 0.1]))
 
     # inner: points (radius 0) or balls near the outer nodes, maybe off the grid
@@ -131,8 +130,10 @@ def draw_case(n, data):
     if r == 0.0:
         return pts, pts, r, outer, slack
     if kind != "far" and data.draw(st.booleans()):
-        # a dilated union on the outer's lattice
-        inner = dilate(BallUnion(n, r, np.round(pts * k) / k, g), 0.02)
+        # a dilated union on the outer's lattice, its nodes past the grid cut
+        q = np.round(pts * k).astype(int)
+        inner = dilate(BallUnion.from_nodes(
+            g, r, q[(np.abs(q) <= m).all(axis=1)]), 0.02)
     else:
         inner = BallUnion(n, r, pts)
     return inner, inner.centers, inner.eta, outer, slack
@@ -172,7 +173,7 @@ def test_criterion_1_pairs_decided_without_a_tree():
 def test_lattice_needs_fewer_than_2_62_nodes():
     g = GridSpec.create(3, 1.0, 1e-6)
     assert g.point_count >= 2 ** 62
-    outer = BallUnion(3, g.eta, np.zeros((1, 3)), g)
+    outer = BallUnion.from_nodes(g, g.eta, np.zeros((1, 3), dtype=int))
     assert outer.lattice is None
     pts = np.array([[0.0, 0.0, 0.0], [1 / g.k, 0.0, 0.0], [2e-6, 0.0, 0.0]])
     with LoggedCounts() as log:
@@ -185,8 +186,8 @@ def test_nodes_outside_the_grid_stay_undecided():
     g = GridSpec.create(2, 1.0, 1e-6)
     assert g.point_count < 2 ** 62
     edge = g.m_max / g.k
-    outer = BallUnion(2, g.eta, np.array([[edge, 0.0]]), g)
-    assert outer.lattice[0].size == 1
+    outer = BallUnion.from_nodes(g, g.eta, [[g.m_max, 0]])
+    assert outer.centers[0, 0] == edge and outer.lattice.size == 1
     # one node past the edge lies within eta of the edge center, but rounds
     # off the grid; the far points would overflow an unclipped integer cast
     pts = np.array([[edge, 0.0], [(g.m_max + 1) / g.k, 0.0], [1e20, 0.0],

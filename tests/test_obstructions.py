@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from synspec import (
     GaplessCertificateError,
@@ -152,6 +154,21 @@ class TestCertifiedBound:
         T = random_almost_commuting(2, 4, 1e-2, 0)
         with pytest.raises(InvalidInputError):
             certified_distance_bound(T)
+
+    @settings(deadline=None, derandomize=True, max_examples=200)
+    @given(st.integers(1, 16), st.floats(0.01, 0.99),
+           st.integers(0, 2 ** 32 - 1))
+    def test_invertible_commuting_certificate_has_value_zero(self, dim, delta,
+                                                             seed):
+        # the step that makes gap/3 bound the distance to every commuting
+        # triple: on a joint eigenvector with eigenvalues x, the certificate
+        # acts as x . sigma, with eigenvalues +|x| and -|x|
+        S = random_almost_commuting(3, dim, delta, seed, exact=True)
+        try:
+            rep = bott_index(*S.ops)
+        except GaplessCertificateError:
+            return
+        assert rep.value == 0
 
     def test_value_stable_under_small_perturbations(self):
         T = spin_triple(10)

@@ -8,6 +8,7 @@ from synspec import (
     BrickSet,
     EmptyInputError,
     EmptyRegionError,
+    GridSpec,
     InvalidInputError,
     ResourceLimitError,
     UnsupportedDimensionError,
@@ -282,3 +283,23 @@ class TestDilate:
         b = BallUnion(2, 0.1, np.array([[0.0, 0.0]]))
         with pytest.raises(InvalidInputError):
             dilate(b, -0.1)
+
+    @pytest.mark.parametrize("r", [np.nan, np.inf, -0.1, 1e308])
+    def test_bad_radius_rejected(self, r):
+        b = BallUnion(2, 1e308, np.array([[0.0, 0.0]]))
+        with pytest.raises(InvalidInputError):
+            dilate(b, r)
+
+    def test_copy_shares_the_union(self, monkeypatch):
+        spec = GridSpec.create(2, 1.0, 0.2)
+        R = BallUnion.from_nodes(spec, 0.2, [[0, 0], [3, -2]])
+        tree = R.tree
+
+        def refuse(*args):
+            raise AssertionError("union validated again")
+
+        monkeypatch.setattr(BallUnion, "__post_init__", refuse)
+        d = dilate(R, 0.05)
+        assert d.eta == 0.2 + 0.05 and R.eta == 0.2
+        assert (d.centers is R.centers and d.grid is R.grid
+                and d.lattice is R.lattice and d.tree is tree)

@@ -2,7 +2,6 @@ import importlib
 import logging
 import re
 import sys
-import warnings
 
 import numpy as np
 import pytest
@@ -224,19 +223,6 @@ class TestBallUnion:
         d = b.distance_to_points(np.array([[0.05, 0.0], [0.5, 0.0]]))
         assert d[0] == 0.0
         assert d[1] == pytest.approx(0.4)
-
-    def test_off_lattice_center_rejected(self):
-        spec = GridSpec.create(2, 1.0, 0.2)
-        with pytest.raises(InvalidInputError):
-            BallUnion(2, 0.2, np.array([[0.123456, 0.0]]), spec)
-
-    def test_off_lattice_center_beside_an_overflowing_one_rejected(self):
-        # 1e308 * k overflows, and its NaN deviation must not hide 0.3 * 31
-        spec = GridSpec.create(1, 1.0, 0.2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(InvalidInputError, match="off the lattice"):
-                BallUnion(1, 0.2, np.array([[1e308], [0.3]]), spec)
 
     def test_json_roundtrip(self):
         b = BallUnion(2, 0.1, np.array([[0.5, -0.5], [0.0, 0.0]]))
@@ -679,17 +665,23 @@ def computed_spectra():
             yield scalar_synthetic_spectrum(op, eta)[0]
 
 
+def reference_keys(R):
+    """The row-major index of each center's node in the grid's point list."""
+    g = R.grid
+    q = np.round(R.centers * g.k).astype(np.int64) + g.m_max
+    return np.ravel_multi_index(tuple(q.T), (2 * g.m_max + 1,) * R.n)
+
+
 class TestFromNodes:
     def test_same_bytes_as_the_float_constructor(self):
         count = 0
         for R in computed_spectra():
-            ref = BallUnion(R.n, R.eta, R.centers.copy(), R.grid)
+            ref = BallUnion(R.n, R.eta, R.centers.copy())
             assert R.centers.shape == ref.centers.shape
             assert R.centers.tobytes() == ref.centers.tobytes()
             assert not R.centers.flags.writeable
-            for got, want in zip(R.lattice, ref.lattice):
-                assert got.dtype == want.dtype
-                assert got.tobytes() == want.tobytes()
+            assert R.lattice.dtype == np.int64
+            assert R.lattice.tobytes() == reference_keys(R).tobytes()
             count += 1
         assert count == 312
 
@@ -721,13 +713,12 @@ class TestFromNodes:
         spec = GridSpec.create(2, 1.0, 0.2)
         nodes = np.array([[3, -2], [-31, 31], [3, -2], [0, 5], [-31, 30]])
         R = BallUnion.from_nodes(spec, 0.2, nodes)
-        ref = BallUnion(2, 0.2, nodes / spec.k, spec)
+        ref = BallUnion(2, 0.2, nodes / spec.k)
         assert R.centers.tobytes() == ref.centers.tobytes()
-        assert all(a.tobytes() == b.tobytes()
-                   for a, b in zip(R.lattice, ref.lattice))
+        assert R.lattice.tobytes() == reference_keys(R).tobytes()
         empty = BallUnion.from_nodes(spec, 0.2, np.zeros((0, 2), dtype=int))
         assert empty.is_empty and empty.centers.shape == (0, 2)
-        assert empty.lattice[0].size == 0
+        assert empty.lattice.size == 0
 
     def test_2_62_nodes_sort_without_keys(self):
         spec = GridSpec.create(3, 1.0, 1e-6)
@@ -738,3 +729,20 @@ class TestFromNodes:
         assert R.lattice is None
         assert np.array_equal(R.centers * spec.k,
                               [[-m, 0, -m], [-m, 0, m], [m, m, m]])
+
+    @pytest.mark.parametrize("n, eta", [(2, 0.2), (3, 1e-6)])
+    def test_nodes_off_the_grid_rejected(self, n, eta):
+        spec = GridSpec.create(n, 1.0, eta)
+        m = spec.m_max
+        assert (spec.point_count < 2 ** 62) == (n == 2)  # keyed, or not
+        # at eta = 0.2, (0, m + 1) would take the key of (1, -m); the float
+        # node 0.5 would be keyed as 0 with its center at 0.5 / k
+        pad = [0] * (n - 2)
+        for bad in ([pad + [0, m + 1]], [pad + [-m - 1, 0]], [pad + [0, 0.5]],
+                    [pad + [0.0, 1.0]],
+                    np.array([pad + [0, 2 ** 63 - 1], pad + [0, -2 ** 63]])):
+            with pytest.raises(InvalidInputError, match="integers in"):
+                BallUnion.from_nodes(spec, eta, bad)
+        R = BallUnion.from_nodes(spec, eta, [pad + [m, -m], pad + [-m, m]])
+        assert np.array_equal(R.centers * spec.k,
+                              [pad + [-m, m], pad + [m, -m]])
