@@ -193,8 +193,8 @@ def random_almost_commuting(n: int, dim: int, delta: float, seed: int,
     bound 4*delta/5 + 2*delta^2/25 strictly below delta.  With ``exact=True``
     the perturbation is skipped and the commutators are exactly zero.
     """
-    if n < 1 or dim < 1:
-        raise InvalidInputError("n and dim must be >= 1")
+    n = as_index(n, "n must be an integer >= 1", 1)
+    dim = as_index(dim, "dim must be an integer >= 1", 1)
     if not 0 < delta < 1:
         raise InvalidInputError("delta must lie in (0, 1)")
     seed = as_index(seed, "seed must be an integer >= 0", 0)

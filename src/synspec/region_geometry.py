@@ -36,18 +36,21 @@ class BrickSet:
     corners: np.ndarray  # integer lattice corners, shape (m, n); brick = [m/k, (m+1)/k]
 
     def __post_init__(self):
+        n = as_index(self.n, "dimension must be an integer >= 1", 1)
         c = np.asarray(self.corners)
         if c.size == 0:
-            c = np.zeros((0, self.n), dtype=int)
-        if self.n < 1 or c.ndim != 2 or c.shape[1] != self.n:
-            raise InvalidInputError("dimension must be >= 1 and match the corners")
-        as_index(self.k, "k must be an integer >= 1", 1)
+            c = np.zeros((0, n), dtype=int)
+        if c.ndim != 2 or c.shape[1] != n:
+            raise InvalidInputError("dimension must match the corners")
+        k = as_index(self.k, "k must be an integer >= 1", 1)
         if not (np.isfinite(c).all() and (c == np.round(c)).all()):
             raise InvalidInputError("corners must be integers")
-        if c.size and (c.min() < -self.k or c.max() > self.k - 1):
+        if c.size and (c.min() < -k or c.max() > k - 1):
             raise InvalidInputError("bricks must stay inside [-1, 1]^n")
         c = unique_rows(c.astype(int))
         c.setflags(write=False)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
         object.__setattr__(self, "corners", c)
 
     @property
@@ -189,10 +192,11 @@ def region_topology(R, resolution: float) -> RegionTopology:
     """Connected components and bounded holes of a planar region.
 
     Rasterizes [-1, 1]^2 and all ball centers with a 2r margin (r = ball
-    radius or 1/k), labels the region with 8-connectivity and its complement
-    with 4-connectivity; complement components not touching the frame are
-    the holes.  The representative of a hole is a deepest cell (max distance
-    to the region), tie-broken toward the hole centroid.
+    radius or 1/k) by ``R.raster_mask(axes)``: a node within eta of a center,
+    or within 1e-12 of a brick.  Labels the region with 8-connectivity and
+    its complement with 4-connectivity; complement components not touching
+    the frame are the holes.  The representative of a hole is a deepest cell
+    (max distance to the region), tie-broken toward the hole centroid.
     """
     if isinstance(R, BallUnion):
         n, r, c = R.n, R.eta, R.centers
@@ -211,12 +215,7 @@ def region_topology(R, resolution: float) -> RegionTopology:
     lo = np.minimum(c.min(axis=0), -1.0) - 2 * r
     hi = np.maximum(c.max(axis=0), 1.0) + 2 * r
     axes = raster_axes(lo, hi + resolution / 2, resolution)
-    if isinstance(R, BallUnion):
-        # the bound admits d = eta
-        mask = R.raster_mask(axes, np.nextafter(R.eta, np.inf),
-                             lambda d: d <= R.eta)
-    else:
-        mask = R.raster_mask(axes)
+    mask = R.raster_mask(axes)
     if not mask.any():
         raise EmptyRegionError("region rasterized to nothing; lower resolution")
 

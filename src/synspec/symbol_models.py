@@ -9,6 +9,7 @@ quasicentral counterexample pair.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -20,9 +21,6 @@ from .operator_core import HermitianMatrix, commutator_norm, spectral_norm
 
 MAX_WINDING_SAMPLES = 2 ** 20
 _EPS = np.finfo(float).eps
-# exp(2 pi i j/size), j < size: the finest circle table built so far
-_CIRCLE_TABLE = np.ones(1, dtype=complex)
-_CIRCLE_TABLE.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -91,8 +89,9 @@ class TruncationFamily:
     w: int
 
     def __post_init__(self):
-        if self.w < 1 or self.n0 < 1:
-            raise InvalidInputError("ramp start and width must be >= 1")
+        for name in ("N", "n0", "w"):
+            object.__setattr__(self, name, as_index(
+                getattr(self, name), name + " must be an integer >= 1", 1))
         if 2 * (self.n0 + self.w) + 2 * self.base.bandwidth >= self.N:
             raise InvalidInputError("ramps and band must fit inside the truncation")
 
@@ -106,20 +105,14 @@ class WindingReport:
     samples: int
 
 
+@functools.lru_cache(maxsize=4)
 def _circle(N: int) -> np.ndarray:
-    """exp(2 pi i j/N), j = 0..N-1, as a read-only view of the shared table.
-
-    The table is rebuilt at size N only when N does not divide its size.
-    A view equals a direct build bit for bit: j/N and (j*s)/(N*s) are the
-    same rational number, so they round to the same float.
-    """
-    global _CIRCLE_TABLE
-    table = _CIRCLE_TABLE  # one read, so a concurrent rebuild cannot split it
-    if table.size % N:
-        table = np.exp(2j * math.pi * (np.arange(N) / N))
-        table.flags.writeable = False
-        _CIRCLE_TABLE = table
-    return table[::table.size // N]
+    """exp(2 pi i j/N), j = 0..N-1, read-only, built once for each of the
+    last few sizes asked for: a cache hit costs a fraction of a microsecond,
+    a build of 256 points several."""
+    table = np.exp(2j * math.pi * (np.arange(N) / N))
+    table.flags.writeable = False
+    return table
 
 
 def fredholm_index(op: SymbolOperator, lam: complex) -> WindingReport:
@@ -203,9 +196,11 @@ def ramp_diagonal(N: int, n0: int, w: int, sharp: bool = False) -> np.ndarray:
     Both corners need cutting: the N x N compression has a defect at each
     end, while the one-sided model has only the one at index 0.
     """
+    N, n0 = (as_index(v, "N and n0 must be integers") for v in (N, n0))
     i = np.arange(N)
     if sharp:
         return ((i < n0) | (i >= N - n0)).astype(float)
+    w = as_index(w, "w must be an integer >= 1", 1)
     left = np.clip(1.0 - (i - n0 + 1) / w, 0.0, 1.0)
     right = np.clip(1.0 - ((N - 1 - i) - n0 + 1) / w, 0.0, 1.0)
     return np.maximum(left, right)

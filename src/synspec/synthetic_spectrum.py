@@ -171,19 +171,21 @@ class BallUnion:
     lattice: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
+        n = as_index(self.n, "dimension must be an integer >= 1", 1)
         c = np.asarray(self.centers, dtype=float)
         if c.size == 0:
-            c = np.zeros((0, self.n))
+            c = np.zeros((0, n))
         if c.ndim == 1:
             c = c[:, None]
-        if self.n < 1 or c.shape[1] != self.n:
-            raise InvalidInputError("dimension must be >= 1 and match the centers")
+        if c.shape[1] != n:
+            raise InvalidInputError("dimension must match the centers")
         if not (math.isfinite(self.eta) and self.eta > 0):
             raise InvalidInputError("radius must be finite and positive")
         if not np.isfinite(c).all():
             raise InvalidInputError("centers must be finite")
         c = unique_rows(c)
         c.setflags(write=False)
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "centers", c)
 
     @classmethod
@@ -258,16 +260,17 @@ class BallUnion:
         d, _ = self.tree.query(pts)
         return np.maximum(0.0, d - self.eta)
 
-    def raster_mask(self, axes: list, bound: float, inside) -> np.ndarray:
+    def raster_mask(self, axes: list, slack: float = 0.0) -> np.ndarray:
         """Mask of the nodes of the raster ``axes`` (ij order) whose distance d
-        to the nearest center passes ``inside(d)``.
+        to the nearest center has d - eta <= ``slack``.
 
-        ``inside`` must hold for d <= eta and fail for d > bound.  The exact
-        Euclidean distance transform (Maurer, Qi & Raghavan 2003) of the
-        centers snapped to their nearest nodes gives each node a distance ds
-        within e of d, with e the largest snap plus the nodes' rounding, so
-        ds <= eta - e is inside and ds > bound + e is outside; only the band
-        between meets a KD-tree query, which is bounded by ``bound``.  At
+        The exact Euclidean distance transform (Maurer, Qi & Raghavan 2003)
+        of the centers snapped to their nearest nodes gives each node a
+        distance ds within e of d, with e the largest snap plus the nodes'
+        rounding, so ds <= eta - e is inside and ds > bound + e is outside;
+        bound, just above eta + 2*slack, admits every d that passes.  Only the
+        band between meets a KD-tree query.  With slack 0 the test is d <= eta,
+        since a correctly rounded d - eta keeps the sign of the exact one.  At
         DEBUG the module logger prints ``cells``, ``decided`` and ``queried``.
         """
         from scipy import ndimage
@@ -285,11 +288,12 @@ class BallUnion:
         free = np.ones([a.size for a in axes], dtype=bool)
         free[tuple(idx)] = False
         ds = ndimage.distance_transform_edt(free, sampling=step)
+        bound = np.nextafter(self.eta + 2 * slack, np.inf)
         mask = ds <= self.eta - e
         band = np.nonzero(~mask & (ds <= bound + e))
         pts = np.stack([a[i] for a, i in zip(axes, band)], axis=1)
         d, _ = self.tree.query(pts, distance_upper_bound=bound)
-        mask[band] = inside(d)
+        mask[band] = d - self.eta <= slack
         log.debug("raster cells=%d decided=%d queried=%d", mask.size,
                   mask.size - pts.shape[0], pts.shape[0])
         return mask
@@ -487,11 +491,7 @@ def hausdorff_distance(A: BallUnion, B: BallUnion, resolution: float) -> float:
     lo = np.minimum(A.centers.min(axis=0) - A.eta, B.centers.min(axis=0) - B.eta)
     hi = np.maximum(A.centers.max(axis=0) + A.eta, B.centers.max(axis=0) + B.eta)
     axes = raster_axes(lo - resolution, hi + 2 * resolution, resolution)
-    # a node lies in R when d - r <= 1e-12 for its distance d to the centers;
-    # the bound admits every such d
-    mask_a, mask_b = (R.raster_mask(axes, np.nextafter(R.eta + 2e-12, np.inf),
-                                    lambda d, r=R.eta: d - r <= 1e-12)
-                      for R in (A, B))
+    mask_a, mask_b = (R.raster_mask(axes, 1e-12) for R in (A, B))
     if not mask_a.any() or not mask_b.any():
         raise EmptyRegionError("a region rasterized to nothing; lower resolution")
     dist_to_b = ndimage.distance_transform_edt(~mask_b) * resolution

@@ -177,6 +177,17 @@ class TestGenerators:
         with pytest.raises(InvalidInputError):
             random_almost_commuting(2, 4, 0.0, 0)
 
+    @pytest.mark.parametrize("n, dim", [(2.5, 4), (2, 4.0), (True, 4), (2, True)])
+    def test_non_integral_sizes_rejected(self, n, dim):
+        with pytest.raises(InvalidInputError, match="must be an integer"):
+            random_almost_commuting(n, dim, 1e-2, 0)
+
+    def test_numpy_integer_sizes(self):
+        a = random_almost_commuting(np.int64(2), np.int64(6), 1e-2, 42)
+        b = random_almost_commuting(2, 6, 1e-2, 42)
+        for x, y in zip(a.ops, b.ops):
+            assert np.array_equal(x.entries, y.entries)
+
 
 class TestJointEigensystem:
     def test_reconstructs_commuting_tuple(self):

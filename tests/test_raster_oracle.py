@@ -18,10 +18,12 @@ from synspec import (
 from synspec.region_geometry import _touching_bricks
 from synspec.synthetic_spectrum import raster_axes
 
-# each caller's query bound and inside test, for a ball radius r
-TOPOLOGY_RULE = {"bound": lambda r: np.nextafter(r, np.inf),
+# each caller's slack, with a per-node query bound and inside test for it,
+# for a ball radius r
+TOPOLOGY_RULE = {"slack": 0.0, "bound": lambda r: np.nextafter(r, np.inf),
                  "inside": lambda d, r: d <= r}
-HAUSDORFF_RULE = {"bound": lambda r: np.nextafter(r + 2e-12, np.inf),
+HAUSDORFF_RULE = {"slack": 1e-12,
+                  "bound": lambda r: np.nextafter(r + 2e-12, np.inf),
                   "inside": lambda d, r: d - r <= 1e-12}
 
 
@@ -137,8 +139,7 @@ def test_ball_masks_match_per_node_queries(seed):
         lo = rng.uniform(-2.0, -0.5, size=2)
         axes = raster_axes(lo, lo + rng.uniform(1.0, 3.0, size=2), res)
         for rule in (TOPOLOGY_RULE, HAUSDORFF_RULE):
-            got = R.raster_mask(axes, rule["bound"](R.eta),
-                                lambda d: rule["inside"](d, R.eta))
+            got = R.raster_mask(axes, rule["slack"])
             assert np.array_equal(got, reference_ball_mask(R, axes, rule))
 
 

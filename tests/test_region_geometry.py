@@ -109,6 +109,19 @@ class TestBrickSet:
         with pytest.raises(InvalidInputError, match="integer"):
             brick_cover(np.array([[0.1, 0.1]]), 2.5)
 
+    @pytest.mark.parametrize("n, corners", [(2.0, [[0, 0]]), (True, [[0]]),
+                                            (2.5, [[0, 0]])])
+    def test_non_integral_n_rejected(self, n, corners):
+        # n = 2.0 was kept and written to JSON as 2.0
+        with pytest.raises(InvalidInputError, match="must be an integer"):
+            BrickSet(n, 5, corners)
+
+    @pytest.mark.parametrize("n", [2, np.int64(2)])
+    def test_integer_n_stored_as_int(self, n):
+        b = BrickSet(n, np.int64(5), [[0, 0]])
+        assert type(b.n) is int and type(b.k) is int
+        assert b.to_json()["n"] == 2
+
     def test_raster_table_capped(self):
         # the occupancy table of k = 1000 bricks in 3-D has 8e9 cells
         b = BrickSet(3, 1000, np.array([[0, 0, 0]]))

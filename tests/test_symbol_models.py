@@ -168,14 +168,16 @@ class TestFredholmIndex:
         assert rep.samples < 300
 
     def test_sample_cap_holds_for_any_start(self, monkeypatch):
-        # bandwidth 2^18 needs a start of 2^21 samples: refused unevaluated
+        # bandwidth 2^18 needs a start of 2^21 samples: refused unevaluated,
+        # with no circle built
         evaluated = []
         monkeypatch.setattr(SymbolOperator, "eval",
                             lambda self, z: evaluated.append(z))
+        _circle.cache_clear()
         with pytest.raises(ResourceLimitError, match="start of 2097152"):
             fredholm_index(SymbolOperator({2 ** 18: 0.5}), 0.1)
         assert not evaluated
-        assert symbol_models._CIRCLE_TABLE.size <= MAX_WINDING_SAMPLES
+        assert _circle.cache_info().currsize == 0
 
     def test_bisection_stops_at_the_cap(self, monkeypatch):
         monkeypatch.setattr(symbol_models, "MAX_WINDING_SAMPLES", 256)
@@ -238,9 +240,8 @@ class TestFredholmIndex:
     @settings(deadline=None, derandomize=True, max_examples=30)
     @given(st.lists(symbol_and_point(), min_size=2, max_size=3))
     def test_refinement_matches_doubling_reference(self, cases):
-        # calls interleave across base sizes, so the circle table is
-        # rebuilt between them whenever a base does not divide its size;
-        # the pi/2 rule can miss a loop, so the root count decides too
+        # calls interleave across base sizes; the pi/2 rule can miss a
+        # loop, so the root count decides too
         for op, lam in cases:
             try:
                 got = fredholm_index(op, lam).winding
@@ -253,8 +254,9 @@ class TestFredholmIndex:
                 pass
 
     @pytest.mark.parametrize("sizes", [(256, 4096, 1024), (320, 640, 256),
-                                       (2 ** 16, 8, 24, 3)])
+                                       (2 ** 16, 8, 24, 3, 256)])
     def test_circle_table_views(self, sizes):
+        # in any order of sizes, each circle equals a direct build
         for N in sizes:
             view = _circle(N)
             direct = np.exp(2j * np.pi * (np.arange(N) / N))
@@ -290,6 +292,30 @@ class TestRampAndFamily:
     def test_family_invariant(self):
         with pytest.raises(InvalidInputError):
             TruncationFamily(SymbolOperator.shift(), 40, 10, 10)
+
+    @pytest.mark.parametrize("N, n0, w", [(100.5, 10, 20), (100, 10.0, 20),
+                                          (100, 10, True), (100, True, 20),
+                                          (100, 10, 0)])
+    def test_family_sizes_checked(self, N, n0, w):
+        with pytest.raises(InvalidInputError, match="must be an integer"):
+            TruncationFamily(SymbolOperator.shift(), N, n0, w)
+
+    def test_family_stores_ints(self):
+        fam = TruncationFamily(SymbolOperator.shift(), np.int64(100),
+                               np.int64(10), np.int64(20))
+        assert all(type(v) is int for v in (fam.N, fam.n0, fam.w))
+
+    @pytest.mark.parametrize("N, n0, w", [(10, 2, 0), (10, 2, 2.5),
+                                          (10.0, 2, 3), (10, True, 3)])
+    def test_ramp_sizes_checked(self, N, n0, w):
+        # w = 0 gave NaN entries with a divide warning
+        with pytest.raises(InvalidInputError, match="must be (an )?integers?"):
+            ramp_diagonal(N, n0, w)
+
+    def test_ramp_takes_numpy_integers(self):
+        assert np.array_equal(
+            ramp_diagonal(np.int64(40), np.int64(4), np.int64(5)),
+            ramp_diagonal(40, 4, 5))
 
 
 class TestQuasicentralFamily:

@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import logging
 import re
 import sys
@@ -230,6 +231,19 @@ class TestBallUnion:
         assert np.allclose(back.centers, b.centers)
         assert back.eta == b.eta
 
+    @pytest.mark.parametrize("n, centers", [(2.0, [[0.0, 0.0]]),
+                                            (True, [[0.0]]),
+                                            (2.5, [[0.0, 0.0]])])
+    def test_non_integral_n_rejected(self, n, centers):
+        # n = 2.0 was kept and written to JSON as 2.0, which from_json refuses
+        with pytest.raises(InvalidInputError, match="must be an integer"):
+            BallUnion(n, 0.1, centers)
+
+    @pytest.mark.parametrize("n", [2, np.int64(2)])
+    def test_integer_n_stored_as_int(self, n):
+        b = BallUnion(n, 0.1, [[0.0, 0.0]])
+        assert type(b.n) is int and b.to_json()["n"] == 2
+
     @pytest.mark.parametrize("n", [2.7, 2.0, "2", True])
     def test_from_json_non_integral_n_rejected(self, n):
         # int() read n = 2.7 as 2, and operator.index(True) is 1
@@ -406,6 +420,26 @@ class TestSyntheticSpectrum:
         # near-commuting: both orders see the joint spectrum in axis order
         d = hausdorff_distance(fwd, rev, 0.01)
         assert d < 0.05
+
+    @pytest.mark.parametrize("n, dim, M, eta, delta, seed", [
+        (2, 5, 1.0, 0.25, 1e-2, 0), (3, 3, 0.3, 0.25, 0.5, 1)],
+        ids=["n2-dim5", "n3-dim3"])
+    def test_orders_match_pointwise_oracle(self, n, dim, M, eta, delta, seed):
+        # each order's centers are the grid points whose big_theta_norm in
+        # that order reaches the threshold; the n = 3 tuple is far from
+        # commuting, so its six orders give three center sets (an order and
+        # its reverse multiply adjoint factors, of one norm)
+        T = scaled(random_almost_commuting(n, dim, delta, seed), M)
+        thresh = sweep_module.inclusion_threshold(eta)
+        seen = set()
+        for order in itertools.permutations(range(n)):
+            region = synthetic_spectrum(T, eta, order=order)
+            pts = grid_points(region.grid)
+            want = pts[[big_theta_norm(T, x, eta, order=order) >= thresh
+                        for x in pts]]
+            assert np.array_equal(region.centers, want)
+            seen.add(region.centers.tobytes())
+        assert len(seen) == (1 if n == 2 else 3)
 
     def test_grid_cap_raises(self):
         T = random_almost_commuting(3, 4, 1e-2, 0)
