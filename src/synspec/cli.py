@@ -26,7 +26,7 @@ from .obstructions import (
 )
 from .operator_core import OperatorTuple, random_almost_commuting
 from .region_geometry import BrickSet, region_topology
-from .symbol_models import SymbolOperator
+from .symbol_models import SymbolOperator, parse_power
 from .synthetic_spectrum import (
     BallUnion,
     DEFAULT_GRID_CAP,
@@ -83,8 +83,8 @@ def _cmd_gen(args) -> int:
                 try:
                     m, val = spec.split("=", 1)
                     parts = [float(x) for x in val.split(",")]
-                    coeffs[int(m)] = complex(parts[0],
-                                             parts[1] if len(parts) > 1 else 0.0)
+                    coeffs[parse_power(m)] = complex(
+                        parts[0], parts[1] if len(parts) > 1 else 0.0)
                 except (ValueError, IndexError):
                     raise InvalidInputError(
                         "bad --coeff %r (expected m=re[,im])" % spec

@@ -24,22 +24,12 @@ import numpy as np
 _CODES = ("%.17g", "%r")
 
 
-def _fmt_float(x: float) -> str:
-    if x != x:
-        raise ValueError("NaN is not serializable")
-    if x in (float("inf"), float("-inf")):
-        raise ValueError("Infinity is not serializable")
-    if x == int(x) and abs(x) < 1e17:
-        # ".17g" prints integral floats < 1e17 without "." or exponent
-        return repr(float(x))
-    return format(float(x), ".17g")
-
-
 def _float_codes(xs: list) -> list:
     """One format code per plain float of xs, after one finiteness scan."""
     if not all(map(math.isfinite, xs)):
-        for x in xs:
-            _fmt_float(x)  # raises the element-wise path's error
+        bad = next(x for x in xs if not math.isfinite(x))
+        raise ValueError("%s is not serializable"
+                         % ("NaN" if math.isnan(bad) else "Infinity"))
     return [_CODES[x.is_integer() and -1e17 < x < 1e17] for x in xs]
 
 
@@ -75,7 +65,8 @@ def dumps_canonical(obj) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return _fmt_float(float(obj))
+        x = float(obj)
+        return _float_codes([x])[0] % x
     if isinstance(obj, str):
         return json.dumps(obj, ensure_ascii=False)
     if isinstance(obj, np.ndarray):

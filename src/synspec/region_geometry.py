@@ -19,6 +19,7 @@ from .errors import (
     EmptyInputError,
     EmptyRegionError,
     InvalidInputError,
+    ResourceLimitError,
     UnsupportedDimensionError,
     as_index,
 )
@@ -65,6 +66,9 @@ class BrickSet:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if self.is_empty:
             return np.zeros(pts.shape[0], dtype=bool)
+        if (2 * self.k) ** self.n > np.iinfo(np.int64).max:
+            raise ResourceLimitError("%d^%d brick keys overflow int64"
+                                     % (2 * self.k, self.n))
         cand, valid = _touching_bricks(pts, self.k, 1e-12 * self.k)
         shape = (2 * self.k,) * self.n
         # sorted corners ravel to sorted keys, so membership is a binary search

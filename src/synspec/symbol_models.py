@@ -71,12 +71,32 @@ class SymbolOperator:
     @classmethod
     def from_json(cls, obj: dict) -> "SymbolOperator":
         try:
-            coeffs = {
-                int(m): complex(ri[0], ri[1]) for m, ri in obj["coeffs"].items()
-            }
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
+            items = obj["coeffs"].items()
+        except (KeyError, TypeError, AttributeError) as exc:
             raise InvalidInputError("malformed symbol JSON: %s" % exc)
-        return cls(coeffs)
+        return cls({parse_power(m): _coefficient(ri) for m, ri in items})
+
+
+def parse_power(key: str) -> int:
+    """A power written as text: canonical decimal only, str(int(key)) == key,
+    so "1_0", " +1 " and "01" are refused."""
+    try:
+        if str(int(key)) == key:
+            return int(key)
+    except (TypeError, ValueError):
+        pass
+    raise InvalidInputError("symbol power %.40r is not a canonical integer" % (key,))
+
+
+def _coefficient(pair) -> complex:
+    """A coefficient in symbol JSON: [re, im], exactly two JSON numbers."""
+    if (isinstance(pair, (list, tuple)) and len(pair) == 2
+            and all(type(x) in (int, float) for x in pair)):
+        try:
+            return complex(*pair)
+        except OverflowError:
+            pass
+    raise InvalidInputError("symbol coefficient %.40r is not [re, im]" % (pair,))
 
 
 @dataclass(frozen=True)

@@ -11,12 +11,14 @@ squared norm of a (prefix, candidate) pair's product is the top eigenvalue
 of its Gram matrix, between the largest diagonal term and the trace: a pair
 is rejected when the trace is below threshold^2, accepted when the largest
 diagonal term reaches it, and ``eigvalsh`` scores only the pairs in between.
-A kept pair's Gram matrix becomes the next level's state.  One byte
-budget, ``_CHUNK_BYTES``, sizes both the chunks of prefixes bounded at once
-and the batches of Gram matrices formed at once, so memory beyond the stored
-prefixes and each level's eigenbasis products stays bounded.  The sweep
-yields integer grid nodes, which ``BallUnion.from_nodes`` turns into centers
-and lattice keys without a float round trip.
+A kept pair's Gram matrix becomes the next level's state.  Each level
+forms one change of basis between consecutive eigenbases, and a chunk
+gathers its prefixes' blocks from its columns.  One byte budget,
+``_CHUNK_BYTES``, sizes both the chunks of prefixes bounded at once and the
+batches of Gram matrices formed at once, so beyond the stored prefix states
+only that d x d matrix lies outside the budget.  The sweep yields integer
+grid nodes, which ``BallUnion.from_nodes`` turns into centers and lattice
+keys without a float round trip.
 """
 from __future__ import annotations
 
@@ -391,14 +393,13 @@ def synthetic_spectrum(T: OperatorTuple, eta: float, *,
     return BallUnion.from_nodes(spec, eta, nodes)
 
 
-def _supports(w: np.ndarray, U: np.ndarray):
-    """Front-packed bump supports: zero-padded weights, indices, columns."""
+def _supports(w: np.ndarray):
+    """Front-packed bump supports: zero-padded weights and their indices."""
     supp = w > 0
     m = int(supp.sum(axis=1).max())
     # stable argsort moves each row's support indices to the front
     order = np.argsort(~supp, axis=1, kind="stable")[:, :m]
-    ws = np.take_along_axis(w, order, axis=1)
-    return ws, order, U[:, order].transpose(1, 0, 2)
+    return np.take_along_axis(w, order, axis=1), order
 
 
 def _pruned_sweep(eigs, W, thresh) -> np.ndarray:
@@ -411,38 +412,38 @@ def _pruned_sweep(eigs, W, thresh) -> np.ndarray:
     if any(p.size == 0 for p in pass_idx):
         return np.zeros((0, n), dtype=int)
     # prefix i has coordinate indices cs[i] and running product P_i with
-    # P_i* P_i = B G_i B*, B = Us[last[i]]; G_i is zero in B's padded columns
-    ws, _, Us = _supports(W[0][pass_idx[0]], eigs[0][1])
+    # P_i* P_i = B G_i B*, B the previous eigenbasis at supp[i], the support
+    # of its last factor; G_i is zero in B's padded columns
+    ws, supp = _supports(W[0][pass_idx[0]])
     G = ws[:, :, None] ** 2 * np.eye(ws.shape[1])
-    cs, last = pass_idx[0][:, None], np.arange(len(Us))
+    cs = pass_idx[0][:, None]
     for axis in range(1, n):
         U, cand = eigs[axis][1], pass_idx[axis]
         wc = W[axis][cand]
-        # Kh[j] = U* B_j = K_j*, shared by the prefixes that end in candidate j
-        Kh = U.conj().T @ Us
-        ws, order, Us = _supports(wc, U)
+        # one change of basis per level: K_i* = U* B = C[:, supp[i]]
+        C = U.conj().T @ eigs[axis - 1][1]
+        ws, order = _supports(wc)
         d, m0, m = U.shape[0], G.shape[1], ws.shape[1]
         # a prefix holds Khb, KH and their product (d x m0 complex each) and
-        # a row of lb2's operands (candidates x m floats); a Gram pair holds
-        # its two gathers (m x m0 complex each) and the matrix (m x m)
-        step = max(1, _CHUNK_BYTES // (48 * d * m0 + 16 * cand.size * m))
+        # a row of trace bounds; a Gram pair holds its two gathers (m x m0
+        # complex each) and the matrix (m x m)
+        step = max(1, _CHUNK_BYTES // (48 * d * m0 + 8 * cand.size))
         batch = max(1, _CHUNK_BYTES // (16 * m * (2 * m0 + m)))
         mid = axis < n - 1
         kept, nxt, passed, solved = [np.zeros((2, 0), dtype=int)], [], 0, 0
         for lo in range(0, len(G), step):
-            Khb = Kh[last[lo:lo + step]]
+            Khb = C[:, supp[lo:lo + step]].transpose(1, 0, 2)
             KH = Khb @ G[lo:lo + step]
             # ||P theta||^2 is the top eigenvalue of the Gram matrix, which lies
             # between its largest diagonal term and its trace, the Frobenius norm
             # ||P theta||_F^2 = sum_j wc_j^2 (K* G K)_jj
             dg = (KH * Khb.conj()).sum(axis=2).real
             ub2 = dg @ (wc ** 2).T
-            lb2 = (dg[:, order] * ws ** 2).max(axis=2)
             pi, ci = np.nonzero(ub2 >= thresh ** 2)
             passed += pi.size
             for plo in range(0, pi.size, batch):
                 p, c = pi[plo:plo + batch], ci[plo:plo + batch]
-                sel = lb2[p, c] >= thresh ** 2
+                sel = (dg[p[:, None], order[c]] * ws[c] ** 2).max(axis=1) >= thresh ** 2
                 und = np.flatnonzero(~sel)
                 # Gram matrix diag(w) K_s* G K_s diag(w), s the candidate's support:
                 # a middle level forms it for every pair left, as a kept pair's is
@@ -467,7 +468,7 @@ def _pruned_sweep(eigs, W, thresh) -> np.ndarray:
             return np.zeros((0, n), dtype=int)
         cs = np.hstack([cs[p], cand[c][:, None]])
         if mid:
-            G, last = np.concatenate(nxt), c
+            G, supp = np.concatenate(nxt), order[c]
     return cs
 
 

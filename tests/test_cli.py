@@ -202,21 +202,31 @@ class TestGeometryCommands:
     ["gen", "spin-triple", "--j", "inf", "--out", "{out}"],
     ["gen", "symbol", "--coeff", "1=nan", "--out", "{out}"],
     ["gen", "symbol", "--coeff", "1=0,nan", "--out", "{out}"],
+    ["gen", "symbol", "--coeff", "1_0=0.5", "--out", "{out}"],
+    ["gen", "symbol", "--coeff", " +1 =0.5", "--out", "{out}"],
     ["index-check", "--symbol", "{nan_symbol}", "--eta", "0.1"],
+    ["index-check", "--symbol", "{power_1_0}", "--eta", "0.1"],
+    ["index-check", "--symbol", "{bool_part}", "--eta", "0.1"],
+    ["index-check", "--symbol", "{three_parts}", "--eta", "0.1"],
     ["gen", "random", "--n", "2", "--dim", "3", "--delta", "0.1",
      "--seed", "-1", "--out", "{out}"],
     ["verify", "--suite", "bricks", "--trials", "2", "--seed", "-1",
      "--out", "{out}"],
 ], ids=["order-x", "order-trailing-comma", "sspec-M-nan", "sspec-M-inf",
         "approx-M-nan", "approx-M-inf", "spin-j-nan", "spin-j-inf",
-        "coeff-re-nan", "coeff-im-nan", "index-check-nan", "gen-seed-negative",
-        "verify-seed-negative"])
+        "coeff-re-nan", "coeff-im-nan", "coeff-power-1_0", "coeff-power-spaced",
+        "index-check-nan", "index-check-power-1_0", "index-check-bool-part",
+        "index-check-three-parts", "gen-seed-negative", "verify-seed-negative"])
 def test_bad_input_exit_2(tmp_path, capsys, argv):
     T = random_almost_commuting(2, 4, 1e-2, 0).to_json()
     paths = {"out": tmp_path / "out.json"}
     for name, obj in (("T", T), ("nan_M", dict(T, M=float("nan"))),
                       ("inf_M", dict(T, M=float("inf"))),
-                      ("nan_symbol", {"coeffs": {"1": [float("nan"), 0.0]}})):
+                      ("nan_symbol", {"coeffs": {"1": [float("nan"), 0.0]}}),
+                      # int() read "1_0" as power 10; [true, 0] loaded as 1
+                      ("power_1_0", {"coeffs": {"1_0": [0.5, 0.0]}}),
+                      ("bool_part", {"coeffs": {"1": [True, 0]}}),
+                      ("three_parts", {"coeffs": {"1": [0.5, 0, 99]}})):
         paths[name] = tmp_path / (name + ".json")
         paths[name].write_text(json.dumps(obj))  # json writes NaN and Infinity
     assert main([a.format(**paths) for a in argv]) == 2

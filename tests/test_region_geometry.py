@@ -128,6 +128,14 @@ class TestBrickSet:
         with pytest.raises(ResourceLimitError):
             b.raster_mask([np.zeros(1)] * 3)
 
+    def test_contains_points_key_overflow(self):
+        # (2k)^n = 2000^7 brick keys do not fit in int64
+        b = BrickSet(7, 1000, [[0] * 7])
+        with pytest.raises(ResourceLimitError, match="overflow int64"):
+            b.contains_points([[0.0] * 7])
+        assert BrickSet(3, 2 ** 20 - 1, [[0] * 3]).contains_points(
+            [[0.0] * 3, [0.5] * 3]).tolist() == [True, False]
+
     def test_json_roundtrip(self):
         b = BrickSet(2, 10, np.array([[0, 0], [-3, 2]]))
         back = BrickSet.from_json(b.to_json())

@@ -108,6 +108,27 @@ class TestSymbolOperator:
         back = SymbolOperator.from_json(op.to_json())
         assert back.coeffs == op.coeffs
 
+    @pytest.mark.parametrize("key", ["1_0", " +1 ", "+1", "01", "-0", "1.0", ""])
+    def test_non_canonical_power_rejected(self, key):
+        # int() reads "1_0" as 10 and " +1 " as 1
+        with pytest.raises(InvalidInputError, match="canonical integer"):
+            SymbolOperator.from_json({"coeffs": {key: [0.5, 0.0]}})
+
+    @pytest.mark.parametrize("pair", [[True, 0], [0.5, 0, 99], [0.5], "0.5",
+                                      [0.5, None], ["0.5", 0], [10 ** 400, 0]])
+    def test_coefficient_must_be_two_numbers(self, pair):
+        with pytest.raises(InvalidInputError, match=r"\[re, im\]"):
+            SymbolOperator.from_json({"coeffs": {"1": pair}})
+
+    @pytest.mark.parametrize("obj", [{}, [], {"coeffs": [[0.5, 0]]}])
+    def test_malformed_json_rejected(self, obj):
+        with pytest.raises(InvalidInputError, match="malformed"):
+            SymbolOperator.from_json(obj)
+
+    def test_integer_parts_accepted(self):
+        op = SymbolOperator.from_json({"coeffs": {"-12": [1, 0], "0": [0, -1]}})
+        assert op.coeffs == {-12: 1.0, 0: -1j}
+
 
 class TestSymbolCurve:
     def test_shift_circle(self):

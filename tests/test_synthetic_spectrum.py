@@ -3,6 +3,7 @@ import itertools
 import logging
 import re
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,12 +20,14 @@ from synspec import (
     OperatorTuple,
     ResourceLimitError,
     SymbolOperator,
+    TruncationFamily,
     big_theta_norm,
     containment_check,
     dilate,
     grid_points,
     hausdorff_distance,
     near_spectrum_witness,
+    quasicentral_family,
     random_almost_commuting,
     random_hermitian,
     scalar_synthetic_spectrum,
@@ -344,15 +347,37 @@ class TestSyntheticSpectrum:
         T, eta = case
         assert matches_pointwise_oracle(T, eta, synthetic_spectrum(T, eta))
 
-    @pytest.mark.parametrize("n, dim, M, eta, seed", [
-        (2, 6, 1.0, 0.2, 4), (3, 4, 0.3, 0.2, 0), (3, 5, 0.5, 0.3, 1)])
-    def test_chunking_keeps_centers(self, monkeypatch, n, dim, M, eta, seed):
+    @pytest.mark.parametrize("n, dim, M, eta, seed, order", [
+        pytest.param(2, 6, 1.0, 0.2, 4, None, id="2-6-1.0-0.2-4"),
+        pytest.param(3, 4, 0.3, 0.2, 0, None, id="3-4-0.3-0.2-0"),
+        pytest.param(3, 5, 0.5, 0.3, 1, None, id="3-5-0.5-0.3-1"),
+        pytest.param(3, 5, 0.5, 0.3, 1, (2, 0, 1), id="3-5-0.5-0.3-1-order201"),
+    ])
+    def test_chunking_keeps_centers(self, monkeypatch, n, dim, M, eta, seed,
+                                    order):
         T = scaled(random_almost_commuting(n, dim, 1e-2, seed), M)
-        want = synthetic_spectrum(T, eta).centers
+        want = synthetic_spectrum(T, eta, order=order).centers
         assert want.shape[0] > 0
         # one prefix per chunk and one Gram matrix per batch
         monkeypatch.setattr(sweep_module, "_CHUNK_BYTES", 1)
-        assert np.array_equal(synthetic_spectrum(T, eta).centers, want)
+        assert np.array_equal(synthetic_spectrum(T, eta, order=order).centers,
+                              want)
+
+    def test_truncated_shift_sweep_memory(self):
+        # the sweep holds its prefix states, chunks under _CHUNK_BYTES and one
+        # d x d change of basis per level; per-candidate basis blocks for a
+        # whole level took 20 MiB here
+        t1, t2, _ = quasicentral_family(
+            TruncationFamily(SymbolOperator.shift(), 100, 10, 20))
+        T = OperatorTuple((t1, t2))
+        tracemalloc.start()
+        try:
+            region = synthetic_spectrum(T, 0.2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert region.centers.shape[0] > 0
+        assert peak < 12 * 2 ** 20
 
     def test_empty_middle_level(self, caplog):
         caplog.set_level(logging.DEBUG, logger=sweep_module.__name__)
