@@ -37,13 +37,18 @@ from .verify import run_suite
 
 
 def _load_json(path: str) -> dict:
+    """The JSON object in a file; InvalidInputError if none can be read."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            obj = json.load(fh)
     except FileNotFoundError:
         raise InvalidInputError("no such file: %s" % path)
-    except json.JSONDecodeError as exc:
-        raise InvalidInputError("bad JSON in %s: %s" % (path, exc))
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError covers bad JSON, bad UTF-8 and over-long integers
+        raise InvalidInputError("cannot read JSON from %s: %s" % (path, exc))
+    if not isinstance(obj, dict):
+        raise InvalidInputError("%s does not hold a JSON object" % path)
+    return obj
 
 
 def _write(build, path: str | None):
@@ -83,9 +88,10 @@ def _cmd_gen(args) -> int:
                 try:
                     m, val = spec.split("=", 1)
                     parts = [float(x) for x in val.split(",")]
-                    coeffs[parse_power(m)] = complex(
-                        parts[0], parts[1] if len(parts) > 1 else 0.0)
-                except (ValueError, IndexError):
+                    if len(parts) > 2:
+                        raise ValueError
+                    coeffs[parse_power(m)] = complex(*parts)
+                except ValueError:
                     raise InvalidInputError(
                         "bad --coeff %r (expected m=re[,im])" % spec
                     )
@@ -97,15 +103,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_sspec(args) -> int:
     T = OperatorTuple.from_json(_load_json(args.input))
-    order = None
-    if args.order:
-        try:
-            order = tuple(int(x) for x in args.order.split(","))
-        except ValueError:
-            raise InvalidInputError("bad --order %r (expected i,j,...)"
-                                    % args.order)
-    region = synthetic_spectrum(T, args.eta, order=order,
-                                grid_cap=args.grid_cap)
+    region = synthetic_spectrum(T, args.eta, grid_cap=args.grid_cap)
     _write(region.to_json, args.out)
     print("sspec: eta=%g k=%d centers=%d -> %s"
           % (args.eta, region.grid.k, region.centers.shape[0], args.out))
@@ -153,7 +151,7 @@ def _cmd_bott(args) -> int:
 
 def _cmd_approx(args) -> int:
     T = OperatorTuple.from_json(_load_json(args.input))
-    report = joint_diagonalize(T, tol=args.tol, max_sweeps=args.max_sweeps)
+    report = joint_diagonalize(T, max_sweeps=args.max_sweeps)
     _write(report.to_json, args.out)
     print("approx: sweeps=%d stop=%s max_distance=%.6g residual=%.3g"
           % (report.sweeps, report.stop_reason, report.max_distance,
@@ -202,7 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("sspec", help="compute a synthetic spectrum")
     s.add_argument("--input", required=True)
     s.add_argument("--eta", type=float, required=True)
-    s.add_argument("--order", help="comma-separated axis permutation")
     s.add_argument("--grid-cap", type=int, default=DEFAULT_GRID_CAP)
     s.add_argument("--out")
     s.set_defaults(fn=_cmd_sspec)
@@ -233,7 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     a = sub.add_parser("approx", help="commuting approximant")
     a.add_argument("--input", required=True)
-    a.add_argument("--tol", type=float, default=1e-12)
     a.add_argument("--max-sweeps", type=int, default=200)
     a.add_argument("--out")
     a.set_defaults(fn=_cmd_approx)

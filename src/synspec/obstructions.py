@@ -198,7 +198,7 @@ def _rotate_round(X: np.ndarray, n: int, p: np.ndarray, q: np.ndarray) -> None:
     X[:, :, q] = -np.conj(s) * xp + c * xq
 
 
-def joint_diagonalize(T: OperatorTuple, tol: float = 1e-12,
+def joint_diagonalize(T: OperatorTuple,
                       max_sweeps: int = 200) -> ApproximantReport:
     """Jacobi-type simultaneous diagonalization; output commutes exactly.
 
@@ -207,13 +207,10 @@ def joint_diagonalize(T: OperatorTuple, tol: float = 1e-12,
     on the (n+1, d, d) stack of tuple and basis U.  Disjoint rotations
     commute, so a round equals its rotations applied one at a time and the
     objective never rises.  Stops when a sweep improves the objective by
-    less than tol ("converged") or after max_sweeps, then returns
+    less than 1e-12 ("converged") or after max_sweeps, then returns
     S_j = U diag(U* T_j U) U*.
     """
-    message = "need a finite tol > 0 and max_sweeps >= 1"
-    max_sweeps = as_index(max_sweeps, message, 1)
-    if not (math.isfinite(tol) and tol > 0):
-        raise InvalidInputError(message)
+    max_sweeps = as_index(max_sweeps, "need max_sweeps >= 1", 1)
     d, n = T.dim, T.n
     X = np.stack([op.entries for op in T.ops] + [np.eye(d, dtype=complex)])
     A, U = X[:n], X[n]
@@ -228,7 +225,7 @@ def joint_diagonalize(T: OperatorTuple, tol: float = 1e-12,
         trace.append(new_off)
         gain = off - new_off
         off = new_off
-        if gain < tol:
+        if gain < 1e-12:
             stop_reason = "converged"
             break
     mats = (U * np.diagonal(A, axis1=1, axis2=2).real[:, None]) @ U.conj().T

@@ -329,17 +329,6 @@ def bump_weights(coords: np.ndarray, eigvals: np.ndarray, eta: float) -> np.ndar
     return bump(coords[:, None], eigvals[None, :], eta)
 
 
-def _axis_order(order: tuple | None, n: int) -> tuple:
-    """``order``, or the identity when it is None; it must permute the axes."""
-    if order is None:
-        return tuple(range(n))
-    message = "order must be a permutation of the axes"
-    idx = tuple(as_index(i, message) for i in order)
-    if sorted(idx) != list(range(n)):
-        raise InvalidInputError(message)
-    return idx
-
-
 def _bump_matrix(A: HermitianMatrix, c: float, eta: float) -> np.ndarray:
     """theta_{c,eta}(A) = U theta(L) U*, from A's cached A = U L U*."""
     w, U = A.eigh
@@ -348,8 +337,7 @@ def _bump_matrix(A: HermitianMatrix, c: float, eta: float) -> np.ndarray:
     return (out + out.conj().T) / 2
 
 
-def big_theta_norm(T: OperatorTuple, xi, eta: float,
-                   order: tuple | None = None) -> float:
+def big_theta_norm(T: OperatorTuple, xi, eta: float) -> float:
     """Norm of the ordered bump product theta(T_1) theta(T_2) ... theta(T_n)."""
     if not eta > 0:
         raise InvalidInputError("eta must be positive")
@@ -360,14 +348,13 @@ def big_theta_norm(T: OperatorTuple, xi, eta: float,
     if np.abs(xi).max() > lim + 1e-12:
         raise InvalidInputError("point lies outside [-M-eta, M+eta]^n")
     prod = None
-    for i in _axis_order(order, T.n):
-        m = _bump_matrix(T.ops[i], float(xi[i]), eta)
+    for op, c in zip(T.ops, xi):
+        m = _bump_matrix(op, float(c), eta)
         prod = m if prod is None else prod @ m
     return spectral_norm(prod)
 
 
 def synthetic_spectrum(T: OperatorTuple, eta: float, *,
-                       order: tuple | None = None,
                        grid_cap: int = DEFAULT_GRID_CAP) -> BallUnion:
     """Centers of the grid where the ordered bump product has norm >= 1-eta.
 
@@ -384,12 +371,9 @@ def synthetic_spectrum(T: OperatorTuple, eta: float, *,
     spec = GridSpec.create(T.n, T.norm_bound, eta)
     _check_cap(spec.point_count, grid_cap)
     coords = spec.axis_coords()
-    idx = _axis_order(order, T.n)
-    eigs = [T.ops[i].eigh for i in idx]
+    eigs = [op.eigh for op in T.ops]
     W = [bump_weights(coords, w, eta) for w, _ in eigs]
     nodes = _pruned_sweep(eigs, W, inclusion_threshold(eta)) - spec.m_max
-    if order is not None:
-        nodes = nodes[:, np.argsort(idx)]
     return BallUnion.from_nodes(spec, eta, nodes)
 
 
@@ -404,7 +388,7 @@ def _supports(w: np.ndarray):
 
 def _pruned_sweep(eigs, W, thresh) -> np.ndarray:
     """Coordinate indices, one row per kept grid point, in lexicographic
-    order of the swept axes."""
+    order of the axes."""
     n = len(eigs)
     pass_idx = [np.nonzero(Wa.max(axis=1) >= thresh)[0] for Wa in W]
     if n == 1:

@@ -12,7 +12,7 @@ import pytest
 import synspec
 from synspec import (InvalidInputError, OperatorTuple, SymbolOperator,
                      random_almost_commuting)
-from synspec.cli import main
+from synspec.cli import build_parser, main
 from synspec.io_json import dump_canonical
 from synspec.verify import run_suite
 
@@ -192,8 +192,6 @@ class TestGeometryCommands:
 
 
 @pytest.mark.parametrize("argv", [
-    ["sspec", "--input", "{T}", "--eta", "0.2", "--order", "x"],
-    ["sspec", "--input", "{T}", "--eta", "0.2", "--order", "0,1,"],
     ["sspec", "--input", "{nan_M}", "--eta", "0.2"],
     ["sspec", "--input", "{inf_M}", "--eta", "0.2"],
     ["approx", "--input", "{nan_M}"],
@@ -204,6 +202,7 @@ class TestGeometryCommands:
     ["gen", "symbol", "--coeff", "1=0,nan", "--out", "{out}"],
     ["gen", "symbol", "--coeff", "1_0=0.5", "--out", "{out}"],
     ["gen", "symbol", "--coeff", " +1 =0.5", "--out", "{out}"],
+    ["gen", "symbol", "--coeff", "1=0.5,0,99", "--out", "{out}"],
     ["index-check", "--symbol", "{nan_symbol}", "--eta", "0.1"],
     ["index-check", "--symbol", "{power_1_0}", "--eta", "0.1"],
     ["index-check", "--symbol", "{bool_part}", "--eta", "0.1"],
@@ -212,14 +211,31 @@ class TestGeometryCommands:
      "--seed", "-1", "--out", "{out}"],
     ["verify", "--suite", "bricks", "--trials", "2", "--seed", "-1",
      "--out", "{out}"],
-], ids=["order-x", "order-trailing-comma", "sspec-M-nan", "sspec-M-inf",
+    ["index-check", "--symbol", "{long_int}", "--eta", "0.1"],
+    ["sspec", "--input", "{dir}", "--eta", "0.2", "--out", "{out}"],
+    ["approx", "--input", "{not_utf8}", "--out", "{out}"],
+    ["bott", "{nested}", "--out", "{out}"],
+    ["holes", "--input", "{number}", "--resolution", "0.01", "--out", "{out}"],
+    ["holes", "--input", "{null}", "--resolution", "0.01", "--out", "{out}"],
+], ids=["sspec-M-nan", "sspec-M-inf",
         "approx-M-nan", "approx-M-inf", "spin-j-nan", "spin-j-inf",
         "coeff-re-nan", "coeff-im-nan", "coeff-power-1_0", "coeff-power-spaced",
-        "index-check-nan", "index-check-power-1_0", "index-check-bool-part",
-        "index-check-three-parts", "gen-seed-negative", "verify-seed-negative"])
+        "coeff-three-parts", "index-check-nan", "index-check-power-1_0",
+        "index-check-bool-part", "index-check-three-parts", "gen-seed-negative",
+        "verify-seed-negative", "file-long-int", "file-is-dir",
+        "file-not-utf8", "file-deep-nesting", "file-number", "file-null"])
 def test_bad_input_exit_2(tmp_path, capsys, argv):
     T = random_almost_commuting(2, 4, 1e-2, 0).to_json()
-    paths = {"out": tmp_path / "out.json"}
+    paths = {"out": tmp_path / "out.json", "dir": tmp_path}
+    # json.load raises ValueError past 4300 digits, UnicodeDecodeError on
+    # bytes that are not UTF-8 and RecursionError on deep nesting
+    for name, text in (("long_int", '{"coeffs": {"1": [%s, 0]}}' % ("7" * 5000)),
+                       ("nested", "[" * 100_000 + "]" * 100_000),
+                       ("number", "5"), ("null", "null")):
+        paths[name] = tmp_path / (name + ".json")
+        paths[name].write_text(text)
+    paths["not_utf8"] = tmp_path / "not_utf8.json"
+    paths["not_utf8"].write_bytes(b"\xff\xfe{}")
     for name, obj in (("T", T), ("nan_M", dict(T, M=float("nan"))),
                       ("inf_M", dict(T, M=float("inf"))),
                       ("nan_symbol", {"coeffs": {"1": [float("nan"), 0.0]}}),
@@ -280,8 +296,7 @@ class TestApprox:
         assert "approx: sweeps=5 stop=max_sweeps " in capsys.readouterr().out
 
     @pytest.mark.parametrize("flag, value", [
-        ("--max-sweeps", "0"), ("--max-sweeps", "-3"),
-        ("--tol", "nan"), ("--tol", "inf")])
+        ("--max-sweeps", "0"), ("--max-sweeps", "-3")])
     def test_bad_stopping_input_exit_2(self, tmp_path, capsys, flag, value):
         path = tmp_path / "t.json"
         dump_canonical(random_almost_commuting(2, 4, 1e-2, 0).to_json(),
@@ -337,6 +352,41 @@ def test_import_loads_no_scipy():
 
 def test_unknown_command_exit_2():
     assert main(["frobnicate"]) == 2
+
+
+# every command's options, positionals by name; --help is left out
+CLI_SURFACE = {
+    "gen spin-triple": ["--j", "--out"],
+    "gen random": ["--n", "--dim", "--delta", "--seed", "--exact", "--out"],
+    "gen symbol": ["--shift", "--coeff", "--out"],
+    "sspec": ["--input", "--eta", "--grid-cap", "--out"],
+    "hausdorff": ["--a", "--b", "--resolution", "--out"],
+    "holes": ["--input", "--resolution", "--out"],
+    "index-check": ["--symbol", "--eta", "--out"],
+    "bott": ["input", "--out"],
+    "approx": ["--input", "--max-sweeps", "--out"],
+    "verify": ["--suite", "--trials", "--seed", "--out"],
+}
+
+
+def command_options(parser, prefix=()):
+    """{command: its option strings} for each leaf parser under ``parser``."""
+    table = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                table.update(command_options(sub, prefix + (name,)))
+    if not table:
+        table[" ".join(prefix)] = [
+            s for a in parser._actions
+            if not isinstance(a, argparse._HelpAction)
+            for s in a.option_strings or [a.dest]]
+    return table
+
+
+def test_cli_surface():
+    # an option is added or removed only together with this table
+    assert command_options(build_parser()) == CLI_SURFACE
 
 
 class TestSharedParser:

@@ -49,6 +49,11 @@ def scaled(T, M):
                          norm_bound=M)
 
 
+def permuted(T, order):
+    """(T_o1, ..., T_on): its bump product is T's taken in ``order``."""
+    return OperatorTuple(tuple(T.ops[i] for i in order), T.norm_bound)
+
+
 @st.composite
 def tiny_tuples(draw):
     """Almost-commuting or random Hermitian tuples, n in {2, 3} and dim 2-5,
@@ -273,8 +278,8 @@ class TestBigThetaNorm:
 
     def test_order_parameter(self):
         T = random_almost_commuting(2, 6, 0.3, 8)
-        v1 = big_theta_norm(T, [0.1, -0.2], 0.3, order=(0, 1))
-        v2 = big_theta_norm(T, [0.1, -0.2], 0.3, order=(1, 0))
+        v1 = big_theta_norm(T, [0.1, -0.2], 0.3)
+        v2 = big_theta_norm(permuted(T, (1, 0)), [-0.2, 0.1], 0.3)
         # both orders are legitimate; they agree up to the commutator scale
         assert abs(v1 - v2) < 1.0
 
@@ -288,27 +293,6 @@ class TestBigThetaNorm:
         T = OperatorTuple((herm(np.diag([0.0, 1.0])),))
         with pytest.raises(InvalidInputError, match="eta must be positive"):
             big_theta_norm(T, [0.0], eta)
-
-    @pytest.mark.parametrize("order", [(0, 0), (0,), (1, 1), (0, 1, 1)])
-    def test_bad_order_rejected(self, order):
-        T = random_almost_commuting(2, 4, 1e-2, 0)
-        with pytest.raises(InvalidInputError, match="permutation"):
-            big_theta_norm(T, [0.0, 0.0], 0.2, order=order)
-
-    @pytest.mark.parametrize("order", [(0, 1.0), (1.0, 0.0), (0, "1"),
-                                       (0, None)])
-    def test_non_integer_order_rejected(self, order):
-        T = random_almost_commuting(2, 4, 1e-2, 0)
-        with pytest.raises(InvalidInputError, match="permutation"):
-            big_theta_norm(T, [0.0, 0.0], 0.2, order=order)
-        with pytest.raises(InvalidInputError, match="permutation"):
-            synthetic_spectrum(T, 0.2, order=order)
-
-    def test_numpy_integer_order_accepted(self):
-        T = random_almost_commuting(2, 4, 1e-2, 0)
-        order = tuple(np.array([1, 0]))
-        assert np.array_equal(synthetic_spectrum(T, 0.2, order=order).centers,
-                              synthetic_spectrum(T, 0.2, order=(1, 0)).centers)
 
 
 class TestSyntheticSpectrum:
@@ -348,20 +332,20 @@ class TestSyntheticSpectrum:
         assert matches_pointwise_oracle(T, eta, synthetic_spectrum(T, eta))
 
     @pytest.mark.parametrize("n, dim, M, eta, seed, order", [
-        pytest.param(2, 6, 1.0, 0.2, 4, None, id="2-6-1.0-0.2-4"),
-        pytest.param(3, 4, 0.3, 0.2, 0, None, id="3-4-0.3-0.2-0"),
-        pytest.param(3, 5, 0.5, 0.3, 1, None, id="3-5-0.5-0.3-1"),
+        pytest.param(2, 6, 1.0, 0.2, 4, (0, 1), id="2-6-1.0-0.2-4"),
+        pytest.param(3, 4, 0.3, 0.2, 0, (0, 1, 2), id="3-4-0.3-0.2-0"),
+        pytest.param(3, 5, 0.5, 0.3, 1, (0, 1, 2), id="3-5-0.5-0.3-1"),
         pytest.param(3, 5, 0.5, 0.3, 1, (2, 0, 1), id="3-5-0.5-0.3-1-order201"),
     ])
     def test_chunking_keeps_centers(self, monkeypatch, n, dim, M, eta, seed,
                                     order):
-        T = scaled(random_almost_commuting(n, dim, 1e-2, seed), M)
-        want = synthetic_spectrum(T, eta, order=order).centers
+        T = permuted(scaled(random_almost_commuting(n, dim, 1e-2, seed), M),
+                     order)
+        want = synthetic_spectrum(T, eta).centers
         assert want.shape[0] > 0
         # one prefix per chunk and one Gram matrix per batch
         monkeypatch.setattr(sweep_module, "_CHUNK_BYTES", 1)
-        assert np.array_equal(synthetic_spectrum(T, eta, order=order).centers,
-                              want)
+        assert np.array_equal(synthetic_spectrum(T, eta).centers, want)
 
     def test_truncated_shift_sweep_memory(self):
         # the sweep holds its prefix states, chunks under _CHUNK_BYTES and one
@@ -440,30 +424,32 @@ class TestSyntheticSpectrum:
 
     def test_order_recorded_columns(self):
         T = random_almost_commuting(2, 5, 1e-3, 3)
-        fwd = synthetic_spectrum(T, 0.2, order=(0, 1))
-        rev = synthetic_spectrum(T, 0.2, order=(1, 0))
-        # near-commuting: both orders see the joint spectrum in axis order
-        d = hausdorff_distance(fwd, rev, 0.01)
-        assert d < 0.05
+        fwd = synthetic_spectrum(T, 0.2)
+        rev = synthetic_spectrum(permuted(T, (1, 0)), 0.2)
+        # near-commuting: the swapped pair sees the joint spectrum with its
+        # columns swapped
+        back = BallUnion(2, 0.2, rev.centers[:, ::-1])
+        assert hausdorff_distance(fwd, back, 0.01) < 0.05
 
     @pytest.mark.parametrize("n, dim, M, eta, delta, seed", [
         (2, 5, 1.0, 0.25, 1e-2, 0), (3, 3, 0.3, 0.25, 0.5, 1)],
         ids=["n2-dim5", "n3-dim3"])
     def test_orders_match_pointwise_oracle(self, n, dim, M, eta, delta, seed):
-        # each order's centers are the grid points whose big_theta_norm in
-        # that order reaches the threshold; the n = 3 tuple is far from
-        # commuting, so its six orders give three center sets (an order and
-        # its reverse multiply adjoint factors, of one norm)
+        # each permuted tuple's centers are the grid points whose
+        # big_theta_norm reaches the threshold; the n = 3 tuple is far from
+        # commuting, so its six orders give three center sets in T's axes
+        # (an order and its reverse multiply adjoint factors, of one norm)
         T = scaled(random_almost_commuting(n, dim, delta, seed), M)
         thresh = sweep_module.inclusion_threshold(eta)
         seen = set()
         for order in itertools.permutations(range(n)):
-            region = synthetic_spectrum(T, eta, order=order)
+            P = permuted(T, order)
+            region = synthetic_spectrum(P, eta)
             pts = grid_points(region.grid)
-            want = pts[[big_theta_norm(T, x, eta, order=order) >= thresh
-                        for x in pts]]
+            want = pts[[big_theta_norm(P, x, eta) >= thresh for x in pts]]
             assert np.array_equal(region.centers, want)
-            seen.add(region.centers.tobytes())
+            back = region.centers[:, np.argsort(order)]
+            seen.add(BallUnion(n, eta, back).centers.tobytes())
         assert len(seen) == (1 if n == 2 else 3)
 
     def test_grid_cap_raises(self):
@@ -475,11 +461,6 @@ class TestSyntheticSpectrum:
         T = random_almost_commuting(2, 4, 1e-2, 0)
         with pytest.raises(InvalidInputError, match="grid cap"):
             synthetic_spectrum(T, 0.2, grid_cap=float("nan"))
-
-    def test_bad_order(self):
-        T = random_almost_commuting(2, 4, 1e-2, 0)
-        with pytest.raises(InvalidInputError):
-            synthetic_spectrum(T, 0.2, order=(0, 0))
 
 
 class TestHausdorff:
@@ -690,8 +671,8 @@ class TestSweepCalls:
         for n, dim, eta, seed in [(2, 8, 0.1, 0), (2, 12, 0.05, 1),
                                   (3, 6, 0.2, 2), (3, 5, 0.3, 4)]:
             T = random_almost_commuting(n, dim, 1e-2, seed)
-            for order in (None, tuple(reversed(range(n)))):
-                assert not synthetic_spectrum(T, eta, order=order).is_empty
+            for P in (T, permuted(T, range(n)[::-1])):
+                assert not synthetic_spectrum(P, eta).is_empty
         assert rows and min(rows) > 0
 
     def test_repeated_sweeps_share_one_eigh(self, monkeypatch):
@@ -700,23 +681,23 @@ class TestSweepCalls:
                             lambda a: calls.append(a) or eigh(a))
         T = random_almost_commuting(3, 6, 1e-2, 9)
         first = [synthetic_spectrum(T, eta).centers for eta in (0.1, 0.2, 0.3)]
-        synthetic_spectrum(T, 0.1, order=(2, 0, 1))
+        synthetic_spectrum(permuted(T, (2, 0, 1)), 0.1)
         assert len(calls) == 3  # one per operator, on the first sweep
         assert np.array_equal(synthetic_spectrum(T, 0.1).centers, first[0])
 
 
 def computed_spectra():
     """300 swept spectra (n = 1..3, eta in {0.1, 0.2, 0.4}, each multi-axis
-    tuple also swept in reverse order) and 12 quotient spectra."""
+    tuple also reversed) and 12 quotient spectra."""
     for t in range(60):
         n = 1 + t % 3
         dim = int(np.random.default_rng(t).integers(2, 9))
         delta = [1e-3, 1e-2, 1e-1][t // 3 % 3]
         T = random_almost_commuting(n, dim, delta, 600 + t)
-        orders = [None] if n == 1 else [None, tuple(reversed(range(n)))]
+        tuples = [T] if n == 1 else [T, permuted(T, range(n)[::-1])]
         for eta in (0.1, 0.2, 0.4):
-            for order in orders:
-                yield synthetic_spectrum(T, eta, order=order)
+            for P in tuples:
+                yield synthetic_spectrum(P, eta)
     for op in (SymbolOperator.shift(), SymbolOperator({2: 1.0}),
                SymbolOperator({-1: 0.5, 1: 0.5}),
                SymbolOperator({1: 0.6, -1: 0.2, 0: 0.1 + 0.1j})):
@@ -758,15 +739,15 @@ class TestFromNodes:
                             or node_keys(q, spec))
         T = random_almost_commuting(2, 8, 1e-2, 3)
         small, big = synthetic_spectrum(T, 0.1), synthetic_spectrum(T, 0.2)
-        reverse = synthetic_spectrum(T, 0.2, order=(1, 0))
+        reverse = synthetic_spectrum(permuted(T, (1, 0)), 0.2)
         quotient = scalar_synthetic_spectrum(SymbolOperator.shift(), 0.2)[0]
         sizes = [R.centers.shape[0] for R in (small, big, reverse, quotient)]
         assert key_rows == sizes and min(sizes) > 0
         # each union's keys came with it: a check keys only the inner balls
         key_rows.clear()
         assert containment_check(small, big, 0.0)
-        assert containment_check(big, reverse, 0.0)
-        assert key_rows == sizes[:2]
+        assert containment_check(reverse, reverse, 0.0)
+        assert key_rows == [sizes[0], sizes[2]]
 
     def test_unsorted_repeated_nodes(self):
         spec = GridSpec.create(2, 1.0, 0.2)
