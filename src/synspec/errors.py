@@ -3,7 +3,11 @@
 Each error carries a stable ``name`` (printed on stderr by the CLI) and the
 exit code the CLI maps it to: 2 for invalid input, 3 for resource caps.
 """
+import math
 import operator
+
+# points in one grid or raster, and entries in one dense matrix
+DEFAULT_GRID_CAP = 2 ** 24
 
 
 class SynspecError(Exception):
@@ -69,3 +73,15 @@ def as_index(value, message: str, least: int | None = None) -> int:
     if least is not None and i < least:
         raise InvalidInputError(message)
     return i
+
+
+def _check_cap(n, cap: int = DEFAULT_GRID_CAP,
+               what: str = "grid has %s points") -> None:
+    """ResourceLimitError when the count n is above cap, its message opening
+    with ``what`` filled in with n.  An integer n prints exactly, however
+    long; %.0f would overflow on one past the floats."""
+    if math.isnan(cap):
+        raise InvalidInputError("grid cap must not be NaN")
+    if n > cap:
+        count = "%.0f" % n if isinstance(n, float) else "%d" % n
+        raise ResourceLimitError("%s, above the cap %d" % (what % count, cap))

@@ -23,6 +23,7 @@ from .errors import (
     GaplessCertificateError,
     InvalidInputError,
     NoObstructionError,
+    _check_cap,
     as_index,
 )
 from .operator_core import (
@@ -35,7 +36,6 @@ from .symbol_models import SymbolOperator, _circle, fredholm_index
 from .synthetic_spectrum import (
     BallUnion,
     GridSpec,
-    _check_cap,
     bump,
     inclusion_threshold,
 )
@@ -96,6 +96,7 @@ def spin_triple(j: float) -> OperatorTuple:
         raise InvalidInputError("j must be a half-integer >= 1/2")
     j = twoj / 2
     dim = twoj + 1
+    _check_cap(dim * dim, what="one dense matrix would hold %s entries")
     m = j - np.arange(dim)  # basis ordered m = j, j-1, ..., -j
     jz = np.diag(m.astype(complex))
     jp = np.zeros((dim, dim), dtype=complex)

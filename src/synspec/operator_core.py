@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidInputError, as_index
+from .errors import InvalidInputError, _check_cap, as_index
 
 HERMITIZATION_TOL = 1e-12
 
@@ -135,8 +135,7 @@ def spectral_norm(a: np.ndarray) -> float:
 
 def op_norm(A: HermitianMatrix) -> float:
     """Operator norm of a Hermitian matrix: largest absolute eigenvalue."""
-    w = np.linalg.eigvalsh(A.entries)
-    return float(np.abs(w).max())
+    return float(_op_norms([A])[0])
 
 
 def _op_norms(ops) -> np.ndarray:
@@ -195,6 +194,7 @@ def random_almost_commuting(n: int, dim: int, delta: float, seed: int,
     """
     n = as_index(n, "n must be an integer >= 1", 1)
     dim = as_index(dim, "dim must be an integer >= 1", 1)
+    _check_cap(dim * dim, what="one dense matrix would hold %s entries")
     if not 0 < delta < 1:
         raise InvalidInputError("delta must lie in (0, 1)")
     seed = as_index(seed, "seed must be an integer >= 0", 0)

@@ -21,9 +21,10 @@ from .errors import (
     InvalidInputError,
     ResourceLimitError,
     UnsupportedDimensionError,
+    _check_cap,
     as_index,
 )
-from .synthetic_spectrum import BallUnion, _check_cap, raster_axes, unique_rows
+from .synthetic_spectrum import BallUnion, raster_axes, unique_rows
 
 log = logging.getLogger(__name__)
 
@@ -81,28 +82,24 @@ class BrickSet:
     def raster_mask(self, axes: list) -> np.ndarray:
         """``contains_points`` over the raster ``axes`` (ij order).
 
-        Each axis's touching range is computed once per coordinate, with
-        ``_touching_bricks``'s arithmetic, and a node reads the occupancy
-        table of the (2k)^n bricks at its candidates, refused above the grid
-        cap (``region_topology``'s raster has at least 100 times as many
-        nodes).  At DEBUG the module logger prints ``cells``, ``decided`` (all
-        of them) and ``queried`` (0).
+        The occupancy table of the (2k)^n bricks, refused above the grid cap
+        (``region_topology``'s raster has at least 100 times as many nodes),
+        is contracted with each axis's node x brick touch matrix, built with
+        ``_touching_bricks``; a node is in the set when its count of touching
+        occupied bricks is positive.  At DEBUG the module logger prints
+        ``cells``, ``decided`` (all of them) and ``queried`` (0).
         """
         _check_cap((2 * self.k) ** self.n)
-        occ = np.zeros((2 * self.k,) * self.n, dtype=bool)
-        occ[tuple((self.corners + self.k).T)] = True
-        ranges = [_touching_bricks(a[:, None], self.k, 1e-12 * self.k)
-                  for a in axes]
-        mask = np.zeros([a.size for a in axes], dtype=bool)
-        for offs in np.ndindex(*[cand.shape[1] for cand, _ in ranges]):
-            # candidate o of each axis, where it lies in that axis's range
-            sel = [(cand[:, o, 0] + self.k, valid[:, o])
-                   for (cand, valid), o in zip(ranges, offs)]
-            hit = occ[np.ix_(*[np.clip(c, 0, 2 * self.k - 1) for c, _ in sel])]
-            for axis, (_, v) in enumerate(sel):
-                hit &= v.reshape([-1 if i == axis else 1
-                                  for i in range(self.n)])
-            mask |= hit
+        # float32 counts are exact: a node touches at most 2^n bricks
+        counts = np.zeros((2 * self.k,) * self.n, dtype=np.float32)
+        counts[tuple((self.corners + self.k).T)] = 1
+        for a in axes:
+            cand, valid = _touching_bricks(a[:, None], self.k, 1e-12 * self.k)
+            touch = np.zeros((a.size, 2 * self.k), dtype=np.float32)
+            touch[np.nonzero(valid)[0], cand[valid][:, 0] + self.k] = 1
+            # the leading brick axis is summed and the node axis goes last
+            counts = np.tensordot(counts, touch, axes=(0, 1))
+        mask = counts > 0
         log.debug("raster cells=%d decided=%d queried=0", mask.size, mask.size)
         return mask
 
@@ -220,8 +217,6 @@ def region_topology(R, resolution: float) -> RegionTopology:
     hi = np.maximum(c.max(axis=0), 1.0) + 2 * r
     axes = raster_axes(lo, hi + resolution / 2, resolution)
     mask = R.raster_mask(axes)
-    if not mask.any():
-        raise EmptyRegionError("region rasterized to nothing; lower resolution")
 
     _, ncomp = ndimage.label(mask, structure=_STRUCT_8)
     comp_labels, _ = ndimage.label(~mask, structure=_STRUCT_4)

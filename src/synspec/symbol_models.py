@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (InvalidInputError, PointOnEssentialSpectrumError,
-                     ResourceLimitError, as_index)
+                     ResourceLimitError, _check_cap, as_index)
 from .operator_core import HermitianMatrix, commutator_norm, spectral_norm
 
 MAX_WINDING_SAMPLES = 2 ** 20
@@ -112,6 +112,7 @@ class TruncationFamily:
         for name in ("N", "n0", "w"):
             object.__setattr__(self, name, as_index(
                 getattr(self, name), name + " must be an integer >= 1", 1))
+        _check_cap(self.N * self.N, what="one dense matrix would hold %s entries")
         if 2 * (self.n0 + self.w) + 2 * self.base.bandwidth >= self.N:
             raise InvalidInputError("ramps and band must fit inside the truncation")
 
@@ -208,34 +209,32 @@ def band_matrix(op: SymbolOperator, N: int) -> np.ndarray:
     return out
 
 
-def ramp_diagonal(N: int, n0: int, w: int, sharp: bool = False) -> np.ndarray:
+def ramp_diagonal(N: int, n0: int, w: int) -> np.ndarray:
     """Approximate-identity diagonal cutting both corners of the truncation.
 
     Entries are 1 on the first and last n0 indices and drop linearly to 0
-    across width w on each side (a step instead of a ramp when sharp).
+    across width w on each side; w = 1 is the sharp cutoff, a step.
     Both corners need cutting: the N x N compression has a defect at each
     end, while the one-sided model has only the one at index 0.
     """
     N, n0 = (as_index(v, "N and n0 must be integers") for v in (N, n0))
     i = np.arange(N)
-    if sharp:
-        return ((i < n0) | (i >= N - n0)).astype(float)
     w = as_index(w, "w must be an integer >= 1", 1)
     left = np.clip(1.0 - (i - n0 + 1) / w, 0.0, 1.0)
     right = np.clip(1.0 - ((N - 1 - i) - n0 + 1) / w, 0.0, 1.0)
     return np.maximum(left, right)
 
 
-def quasicentral_family(fam: TruncationFamily, sharp: bool = False):
+def quasicentral_family(fam: TruncationFamily):
     """Hermitian parts of (1-e) T (1-e) for the diagonal ramp e.
 
     Returns (T1, T2, diagnostics) where diagnostics reports the commutator
     norm of the pair and the ramp commutator ||e T - T e||.  The linear
     ramp of slope 1/w makes the ramp commutator decay like 1/w; the sharp
-    (step) variant keeps an order-1/2 corner defect instead.
+    cutoff w = 1 (a step) keeps an order-1/2 corner defect instead.
     """
     t = band_matrix(fam.base, fam.N)
-    e = ramp_diagonal(fam.N, fam.n0, fam.w, sharp=sharp)
+    e = ramp_diagonal(fam.N, fam.n0, fam.w)
     d = 1.0 - e
     tn = (t * d[None, :]) * d[:, None]
     t1 = HermitianMatrix((tn + tn.conj().T) / 2)

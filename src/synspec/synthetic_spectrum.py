@@ -30,10 +30,12 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
+    DEFAULT_GRID_CAP,
     EmptyRegionError,
     InvalidInputError,
     InvalidWitnessError,
     ResourceLimitError,
+    _check_cap,
     as_index,
 )
 from .operator_core import (
@@ -44,7 +46,6 @@ from .operator_core import (
     spectral_norm,
 )
 
-DEFAULT_GRID_CAP = 2 ** 24
 BORDERLINE_TOL = 1e-9
 # bytes of working arrays one prefix chunk or one Gram batch of the sweep holds
 _CHUNK_BYTES = 2 ** 21
@@ -112,13 +113,6 @@ def _lattice_denominator(n: int, M: float, eta: float) -> int:
         mid = (lo + hi) // 2
         lo, hi = (lo, mid) if (M + 1) / mid < bound else (mid, hi)
     return hi
-
-
-def _check_cap(n, cap: int = DEFAULT_GRID_CAP) -> None:
-    if math.isnan(cap):
-        raise InvalidInputError("grid cap must not be NaN")
-    if n > cap:
-        raise ResourceLimitError("grid has %.0f points, above the cap %d" % (n, cap))
 
 
 def raster_axes(lo, hi, step: float) -> list:

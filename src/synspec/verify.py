@@ -145,9 +145,9 @@ def matches_pointwise_oracle(T: OperatorTuple, eta: float,
     """True iff ``region`` has exactly the centers the definition gives.
 
     Evaluates ``big_theta_norm`` at every point of the region's grid
-    against the sweep's ``inclusion_threshold``.  The oracle shares no
-    eigenbases or bump weights with the pruned sweep of
-    ``synthetic_spectrum``.
+    against the sweep's ``inclusion_threshold``.  The oracle reads the same
+    cached eigendecomposition (``HermitianMatrix.eigh``) as the pruned sweep
+    of ``synthetic_spectrum``, but shares none of its bump code or pruning.
     """
     thresh = inclusion_threshold(eta)
     pts = grid_points(region.grid)

@@ -55,6 +55,16 @@ class TestGen:
         assert json.loads(out.read_text()) == {
             "coeffs": {"-1": [0.5, 0.0], "1": [0.5, 0.0]}}
 
+    @pytest.mark.parametrize("argv", [
+        ["spin-triple", "--j", "1e300"],
+        ["random", "--n", "2", "--dim", "1000000000000", "--delta", "0.01"],
+    ], ids=["spin-j-1e300", "random-dim-1e12"])
+    def test_oversized_matrix_exit_3(self, tmp_path, capsys, argv):
+        out = tmp_path / "x.json"
+        assert main(["gen", *argv, "--out", str(out)]) == 3
+        assert "resource-limit" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_gen_symbol_bad_coeff(self, tmp_path):
         code = main(["gen", "symbol", "--coeff", "nope", "--out",
                      str(tmp_path / "s.json")])

@@ -77,6 +77,12 @@ class TestSpinTriple:
         with pytest.raises(InvalidInputError):
             spin_triple(0)
 
+    @pytest.mark.parametrize("j", [2048, 1e300])
+    def test_dense_matrix_cap(self, j):
+        # dim 4097 is the first above the cap; j = 1e300 made numpy raise
+        with pytest.raises(ResourceLimitError, match="above the cap"):
+            spin_triple(j)
+
 
 class TestBottIndex:
     def test_pauli_value(self):

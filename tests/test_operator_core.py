@@ -7,6 +7,7 @@ from synspec import (
     HermitianMatrix,
     InvalidInputError,
     OperatorTuple,
+    ResourceLimitError,
     commutator_norm,
     joint_diagonalize,
     joint_eigensystem,
@@ -176,6 +177,12 @@ class TestGenerators:
             random_almost_commuting(0, 4, 1e-2, 0)
         with pytest.raises(InvalidInputError):
             random_almost_commuting(2, 4, 0.0, 0)
+
+    @pytest.mark.parametrize("dim", [4097, 10 ** 12])
+    def test_dense_matrix_cap(self, dim):
+        # refused before numpy is asked for the matrix
+        with pytest.raises(ResourceLimitError, match="above the cap"):
+            random_almost_commuting(2, dim, 1e-2, 0)
 
     @pytest.mark.parametrize("n, dim", [(2.5, 4), (2, 4.0), (True, 4), (2, True)])
     def test_non_integral_sizes_rejected(self, n, dim):

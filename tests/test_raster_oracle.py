@@ -199,9 +199,13 @@ def test_brick_masks_and_topology_match_reference(k):
 
 def test_brick_masks_in_one_and_three_dimensions():
     rng = np.random.default_rng(5)
-    for n, k in [(1, 7), (3, 3), (3, 5)]:
+    cases = [(n, k, raster_axes([-1.2] * n, [1.2] * n, 1.0 / (4.3 * k)))
+             for n, k in [(1, 7), (3, 3), (3, 5), (4, 2)]]
+    # an axis of a single node, on a brick face
+    plane = raster_axes([-1.2] * 2, [1.2] * 2, 0.07)
+    cases.append((3, 4, [np.array([0.25])] + plane))
+    for n, k, axes in cases:
         B = BrickSet(n, k, rng.integers(-k, k, size=(2 * k, n)))
-        axes = raster_axes([-1.2] * n, [1.2] * n, 1.0 / (4.3 * k))
         assert np.array_equal(B.raster_mask(axes), reference_brick_mask(B, axes))
 
 

@@ -306,9 +306,10 @@ class TestRampAndFamily:
         assert steps.max() == pytest.approx(1.0 / 5)
 
     def test_sharp_ramp(self):
-        e = ramp_diagonal(20, 3, 4, sharp=True)
+        # width 1 is the sharp cutoff: a step
+        e = ramp_diagonal(20, 3, 1)
         assert set(np.unique(e)) == {0.0, 1.0}
-        assert e[:3].sum() == 3 and e[-3:].sum() == 3
+        assert e[:3].sum() == 3 and e[-3:].sum() == 3 and e.sum() == 6
 
     def test_family_invariant(self):
         with pytest.raises(InvalidInputError):
@@ -320,6 +321,12 @@ class TestRampAndFamily:
     def test_family_sizes_checked(self, N, n0, w):
         with pytest.raises(InvalidInputError, match="must be an integer"):
             TruncationFamily(SymbolOperator.shift(), N, n0, w)
+
+    def test_family_matrix_cap(self):
+        shift = SymbolOperator.shift()
+        assert TruncationFamily(shift, 4096, 10, 10).N == 4096
+        with pytest.raises(ResourceLimitError, match="above the cap"):
+            TruncationFamily(shift, 4097, 10, 10)
 
     def test_family_stores_ints(self):
         fam = TruncationFamily(SymbolOperator.shift(), np.int64(100),
@@ -361,8 +368,8 @@ class TestQuasicentralFamily:
         assert all(b < a for a, b in zip(norms, norms[1:]))
 
     def test_sharp_ramp_keeps_corner_defect(self):
-        fam = TruncationFamily(SymbolOperator.shift(), 400, 10, 10)
-        _, _, diag = quasicentral_family(fam, sharp=True)
+        fam = TruncationFamily(SymbolOperator.shift(), 400, 10, 1)
+        _, _, diag = quasicentral_family(fam)
         assert diag["commutator_norm"] >= 0.49
 
     def test_outputs_hermitian_and_consistent(self):
