@@ -28,8 +28,6 @@ T = spin_triple(20)
 bound = certified_distance_bound(T)
 print("\ncertified lower bound on distance to commuting triples: %.4f"
       % bound.bound)
-print("caveat: a commuting triple whose own certificate is singular evades the "
-      "signature argument; the bound rules out gapped commuting triples only")
 
 print("\nrunning Jacobi joint diagonalization on the j=20 triple ...")
 approx = joint_diagonalize(T)

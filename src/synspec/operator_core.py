@@ -173,6 +173,10 @@ def _random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 def random_hermitian(dim: int, rng: np.random.Generator,
                      norm: float = 1.0) -> HermitianMatrix:
     """Random dense Hermitian matrix rescaled to the given operator norm."""
+    dim = as_index(dim, "dim must be an integer >= 1", 1)
+    _check_cap(dim * dim, what="one dense matrix would hold %s entries")
+    if not 0 <= norm < math.inf:
+        raise InvalidInputError("norm must be finite and >= 0")
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     h = (g + g.conj().T) / 2
     s = spectral_norm(h)

@@ -201,7 +201,7 @@ def fredholm_index(op: SymbolOperator, lam: complex) -> WindingReport:
                          min_curve_distance=mind, samples=samples)
 
 
-def band_matrix(op: SymbolOperator, N: int) -> np.ndarray:
+def _band_matrix(op: SymbolOperator, N: int) -> np.ndarray:
     """N x N compression of the banded operator: entry (i, j) = c_{i-j}."""
     out = np.zeros((N, N), dtype=complex)
     for m, c in op.coeffs.items():
@@ -209,7 +209,7 @@ def band_matrix(op: SymbolOperator, N: int) -> np.ndarray:
     return out
 
 
-def ramp_diagonal(N: int, n0: int, w: int) -> np.ndarray:
+def _ramp_diagonal(N: int, n0: int, w: int) -> np.ndarray:
     """Approximate-identity diagonal cutting both corners of the truncation.
 
     Entries are 1 on the first and last n0 indices and drop linearly to 0
@@ -217,9 +217,7 @@ def ramp_diagonal(N: int, n0: int, w: int) -> np.ndarray:
     Both corners need cutting: the N x N compression has a defect at each
     end, while the one-sided model has only the one at index 0.
     """
-    N, n0 = (as_index(v, "N and n0 must be integers") for v in (N, n0))
     i = np.arange(N)
-    w = as_index(w, "w must be an integer >= 1", 1)
     left = np.clip(1.0 - (i - n0 + 1) / w, 0.0, 1.0)
     right = np.clip(1.0 - ((N - 1 - i) - n0 + 1) / w, 0.0, 1.0)
     return np.maximum(left, right)
@@ -233,8 +231,8 @@ def quasicentral_family(fam: TruncationFamily):
     ramp of slope 1/w makes the ramp commutator decay like 1/w; the sharp
     cutoff w = 1 (a step) keeps an order-1/2 corner defect instead.
     """
-    t = band_matrix(fam.base, fam.N)
-    e = ramp_diagonal(fam.N, fam.n0, fam.w)
+    t = _band_matrix(fam.base, fam.N)
+    e = _ramp_diagonal(fam.N, fam.n0, fam.w)
     d = 1.0 - e
     tn = (t * d[None, :]) * d[:, None]
     t1 = HermitianMatrix((tn + tn.conj().T) / 2)

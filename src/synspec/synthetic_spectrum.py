@@ -318,11 +318,6 @@ def bump(c, lam, eta: float) -> np.ndarray:
     return np.clip((eta - np.abs(lam - c)) * (4.0 / eta), 0.0, 1.0)
 
 
-def bump_weights(coords: np.ndarray, eigvals: np.ndarray, eta: float) -> np.ndarray:
-    """theta_{c,eta}(lambda) for every coord c (rows) and eigenvalue (cols)."""
-    return bump(coords[:, None], eigvals[None, :], eta)
-
-
 def _bump_matrix(A: HermitianMatrix, c: float, eta: float) -> np.ndarray:
     """theta_{c,eta}(A) = U theta(L) U*, from A's cached A = U L U*."""
     w, U = A.eigh
@@ -339,7 +334,7 @@ def big_theta_norm(T: OperatorTuple, xi, eta: float) -> float:
     if xi.size != T.n:
         raise InvalidInputError("point dimension does not match the tuple")
     lim = T.norm_bound + eta
-    if np.abs(xi).max() > lim + 1e-12:
+    if not np.abs(xi).max() <= lim + 1e-12:
         raise InvalidInputError("point lies outside [-M-eta, M+eta]^n")
     prod = None
     for op, c in zip(T.ops, xi):
@@ -366,7 +361,7 @@ def synthetic_spectrum(T: OperatorTuple, eta: float, *,
     _check_cap(spec.point_count, grid_cap)
     coords = spec.axis_coords()
     eigs = [op.eigh for op in T.ops]
-    W = [bump_weights(coords, w, eta) for w, _ in eigs]
+    W = [bump(coords[:, None], w, eta) for w, _ in eigs]
     nodes = _pruned_sweep(eigs, W, inclusion_threshold(eta)) - spec.m_max
     return BallUnion.from_nodes(spec, eta, nodes)
 

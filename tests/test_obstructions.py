@@ -31,7 +31,7 @@ from synspec.obstructions import _rotate_round, _round_robin
 from synspec.synthetic_spectrum import (
     DEFAULT_GRID_CAP,
     GridSpec,
-    bump_weights,
+    bump,
     inclusion_threshold,
 )
 
@@ -356,8 +356,8 @@ class TestIndexHypothesisCheck:
         curve = op.eval(np.exp(2j * np.pi * t))
         for eta in (0.05, 0.1, 0.2, 0.3, 0.5, 0.9):
             coords = GridSpec.create(2, 1.0, eta).axis_coords()
-            w1 = bump_weights(coords, curve.real, eta)
-            w2 = bump_weights(coords, curve.imag, eta)
+            w1 = bump(coords[:, None], curve.real, eta)
+            w2 = bump(coords[:, None], curve.imag, eta)
             thresh = inclusion_threshold(eta)
             centers = [(coords[i1], coords[i2])
                        for i1 in range(coords.size)
@@ -384,8 +384,8 @@ class TestIndexHypothesisCheck:
         curve = op.eval(np.exp(2j * np.pi * np.arange(4096) / 4096))
         for eta in (0.02, 0.45, 0.7):
             coords = GridSpec.create(2, 1.0, eta).axis_coords()
-            w1 = bump_weights(coords, curve.real, eta)
-            w2 = bump_weights(coords, curve.imag, eta)
+            w1 = bump(coords[:, None], curve.real, eta)
+            w2 = bump(coords[:, None], curve.imag, eta)
             thresh = inclusion_threshold(eta)
             centers = []
             for i1 in range(coords.size):
@@ -402,7 +402,7 @@ class TestIndexHypothesisCheck:
         scalar_synthetic_spectrum(op, eta)
         curve = op.eval(np.exp(2j * np.pi * np.arange(4096) / 4096))
         coords = GridSpec.create(2, 1.0, eta).axis_coords()
-        w1 = bump_weights(coords, curve.real, eta)
+        w1 = bump(coords[:, None], curve.real, eta)
         plateau = int((w1 == 1.0).sum())
         fringe = int(((w1 >= inclusion_threshold(eta)) & (w1 < 1.0)).sum())
         assert caplog.messages == ["quotient spectrum samples=4096 plateau=%d "

@@ -189,6 +189,24 @@ class TestGenerators:
         with pytest.raises(InvalidInputError, match="must be an integer"):
             random_almost_commuting(n, dim, 1e-2, 0)
 
+    @pytest.mark.parametrize("dim, norm, error", [
+        (-1, 1.0, InvalidInputError), (0, 1.0, InvalidInputError),
+        (2.5, 1.0, InvalidInputError), (True, 1.0, InvalidInputError),
+        (4097, 1.0, ResourceLimitError), (10 ** 12, 1.0, ResourceLimitError),
+        (4, -1.0, InvalidInputError), (4, float("nan"), InvalidInputError),
+        (4, float("inf"), InvalidInputError)])
+    def test_random_hermitian_checks_before_drawing(self, dim, norm, error):
+        # -1 gave numpy's bare ValueError and norm=-1.0 a matrix of norm 1
+        rng = np.random.default_rng(3)
+        with pytest.raises(error):
+            random_hermitian(dim, rng, norm)
+        assert rng.bit_generator.state == np.random.default_rng(3).bit_generator.state
+
+    @pytest.mark.parametrize("norm", [0.0, 0.5, 2.0])
+    def test_random_hermitian_norm(self, norm):
+        h = random_hermitian(np.int64(5), np.random.default_rng(7), norm)
+        assert op_norm(h) == pytest.approx(norm, abs=1e-12)
+
     def test_numpy_integer_sizes(self):
         a = random_almost_commuting(np.int64(2), np.int64(6), 1e-2, 42)
         b = random_almost_commuting(2, 6, 1e-2, 42)

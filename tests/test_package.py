@@ -49,7 +49,6 @@ LIBRARY_SURFACE = {
     "WindingReport": [
         "lam", "winding", "index", "min_curve_distance", "samples"],
     "WitnessReport": ["witness", "distances", "max_distance", "valid"],
-    "band_matrix": ["op", "N"],
     "big_theta_norm": ["T", "xi", "eta"],
     "bott_index": ["H1", "H2", "H3"],
     "brick_cover": ["X", "k"],
@@ -70,7 +69,6 @@ LIBRARY_SURFACE = {
     "op_norm": ["A"],
     "pairwise_commutator_norms": ["T"],
     "quasicentral_family": ["fam"],
-    "ramp_diagonal": ["N", "n0", "w"],
     "random_almost_commuting": ["n", "dim", "delta", "seed", "exact"],
     "random_hermitian": ["dim", "rng", "norm"],
     "region_topology": ["R", "resolution"],

@@ -12,14 +12,13 @@ from synspec import (
     ResourceLimitError,
     SymbolOperator,
     TruncationFamily,
-    band_matrix,
     commutator_norm,
     fredholm_index,
     quasicentral_family,
-    ramp_diagonal,
 )
 from synspec import symbol_models
-from synspec.symbol_models import MAX_WINDING_SAMPLES, _circle
+from synspec.symbol_models import (MAX_WINDING_SAMPLES, _band_matrix, _circle,
+                                   _ramp_diagonal)
 from synspec.verify import winding_oracle
 
 
@@ -288,17 +287,17 @@ class TestFredholmIndex:
 
 class TestTruncations:
     def test_shift_band_matrix(self):
-        t = band_matrix(SymbolOperator.shift(), 3)
+        t = _band_matrix(SymbolOperator.shift(), 3)
         assert np.allclose(t, np.diag(np.ones(2), -1))
 
     def test_constant_symbol(self):
-        assert np.array_equal(band_matrix(SymbolOperator({0: 1.0}), 5),
+        assert np.array_equal(_band_matrix(SymbolOperator({0: 1.0}), 5),
                               np.eye(5))
 
 
 class TestRampAndFamily:
     def test_ramp_shape(self):
-        e = ramp_diagonal(40, 4, 5)
+        e = _ramp_diagonal(40, 4, 5)
         assert np.allclose(e[:4], 1.0)
         assert np.allclose(e[-4:], 1.0)
         assert np.allclose(e[9:31], 0.0)
@@ -307,7 +306,7 @@ class TestRampAndFamily:
 
     def test_sharp_ramp(self):
         # width 1 is the sharp cutoff: a step
-        e = ramp_diagonal(20, 3, 1)
+        e = _ramp_diagonal(20, 3, 1)
         assert set(np.unique(e)) == {0.0, 1.0}
         assert e[:3].sum() == 3 and e[-3:].sum() == 3 and e.sum() == 6
 
@@ -317,7 +316,7 @@ class TestRampAndFamily:
 
     @pytest.mark.parametrize("N, n0, w", [(100.5, 10, 20), (100, 10.0, 20),
                                           (100, 10, True), (100, True, 20),
-                                          (100, 10, 0)])
+                                          (100, 10, 0), (100, 10, 2.5)])
     def test_family_sizes_checked(self, N, n0, w):
         with pytest.raises(InvalidInputError, match="must be an integer"):
             TruncationFamily(SymbolOperator.shift(), N, n0, w)
@@ -333,20 +332,26 @@ class TestRampAndFamily:
                                np.int64(10), np.int64(20))
         assert all(type(v) is int for v in (fam.N, fam.n0, fam.w))
 
-    @pytest.mark.parametrize("N, n0, w", [(10, 2, 0), (10, 2, 2.5),
-                                          (10.0, 2, 3), (10, True, 3)])
-    def test_ramp_sizes_checked(self, N, n0, w):
-        # w = 0 gave NaN entries with a divide warning
-        with pytest.raises(InvalidInputError, match="must be (an )?integers?"):
-            ramp_diagonal(N, n0, w)
-
-    def test_ramp_takes_numpy_integers(self):
-        assert np.array_equal(
-            ramp_diagonal(np.int64(40), np.int64(4), np.int64(5)),
-            ramp_diagonal(40, 4, 5))
-
 
 class TestQuasicentralFamily:
+    @pytest.mark.parametrize("N, n0, w", [(100, 10, 20), (400, 10, 1)])
+    def test_pair_matches_definition(self, N, n0, w):
+        # T has entry (i, j) = c_{i-j}; the ramp is 1 within n0 of either
+        # end and falls linearly to 0 across w more indices
+        base = SymbolOperator.shift()
+        i = np.arange(N)
+        lag = i[:, None] - i[None, :]
+        T = np.zeros((N, N), dtype=complex)
+        for m, c in base.coeffs.items():
+            T[lag == m] = c
+        e = np.clip(1.0 - (np.minimum(i, N - 1 - i) - n0 + 1) / w, 0.0, 1.0)
+        tn = T * np.outer(1.0 - e, 1.0 - e)
+        t1, t2, _ = quasicentral_family(TruncationFamily(base, N, n0, w))
+        for got, want in ((t1, (tn + tn.conj().T) / 2),
+                          (t2, (tn - tn.conj().T) / 2j)):
+            want = HermitianMatrix(want).entries
+            assert got.entries.tobytes() == want.tobytes()
+
     def test_ramp_commutator_exact(self):
         fam = TruncationFamily(SymbolOperator.shift(), 400, 10, 10)
         _, _, diag = quasicentral_family(fam)

@@ -288,6 +288,13 @@ class TestBigThetaNorm:
         with pytest.raises(InvalidInputError):
             big_theta_norm(T, [2.0], 0.1)
 
+    @pytest.mark.parametrize("xi", [[float("nan"), 0.0], [0.0, float("nan")]])
+    def test_nan_point_rejected(self, xi):
+        # NaN failed no comparison and ended in numpy's SVD error
+        d = herm(np.diag([0.0, 1.0]))
+        with pytest.raises(InvalidInputError, match="outside"):
+            big_theta_norm(OperatorTuple((d, d)), xi, 0.2)
+
     @pytest.mark.parametrize("eta", [0.0, -0.1, float("nan")])
     def test_bad_eta_rejected(self, eta):
         T = OperatorTuple((herm(np.diag([0.0, 1.0])),))
